@@ -6,16 +6,19 @@
 // Results are written to BENCH_aggregate.json (override with
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
-// exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// and Conv2d grids at a short min-time — the mode the CI Release job
-// uses; the GEMM/Conv/Gossip rows feed the bench regression gate
+// exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM
+// (model-zoo and compact-MLP training shapes), compact-MLP SGD step and
+// Conv2d grids at a short min-time — the mode the CI Release job uses;
+// the GEMM/Conv/Gossip rows feed the bench regression gate
 // (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -66,19 +69,32 @@ using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
                         std::span<const float>, std::span<const float>,
                         std::span<float>, float);
 
+/// Deterministic operands for one {m, k, n} GEMM (A and B get the same
+/// extent whichever layout reads them). post_relu zeroes A's negative
+/// half, as the ReLU backward does to the gradients gemm_tn multiplies —
+/// the zero-skip path normal A never takes.
+struct GemmOperands {
+  GemmOperands(std::size_t m, std::size_t k, std::size_t n, bool post_relu)
+      : a(m * k), b(k * n), c(m * n) {
+    util::Rng rng(12);
+    rng.fill_normal(a, 0.0f, 1.0f);
+    rng.fill_normal(b, 0.0f, 1.0f);
+    if (post_relu) {
+      for (float& v : a) v = std::max(v, 0.0f);
+    }
+  }
+  std::vector<float> a, b, c;
+};
+
 template <GemmFn kGemm>
 void BM_GemmShape(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   const auto n = static_cast<std::size_t>(state.range(2));
-  std::vector<float> a(m * k), b(k * n);  // same extent for every layout
-  std::vector<float> c(m * n);
-  util::Rng rng(12);
-  rng.fill_normal(a, 0.0f, 1.0f);
-  rng.fill_normal(b, 0.0f, 1.0f);
+  GemmOperands ops(m, k, n, /*post_relu=*/false);
   for (auto _ : state) {
-    kGemm(m, k, n, a, b, c, 0.0f);
-    benchmark::DoNotOptimize(c.data());
+    kGemm(m, k, n, ops.a, ops.b, ops.c, 0.0f);
+    benchmark::DoNotOptimize(ops.c.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * m * k * n));
@@ -112,6 +128,76 @@ BENCHMARK(BM_GemmShape<tensor::gemm_tn>)
 BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref>)
     ->Name("BM_GemmTNRef")
     ->Apply(GemmTNShapes);
+
+// ---------------------------------------------------------------------------
+// The compact MLP's (64->32->10, batch 16) training GEMMs through the
+// dispatched entry points (BM_GemmMlp*) and their references
+// (BM_GemmMlp*Ref). Runs under --quick; the bench gate pairs each with
+// its reference, so a dispatch rule that picks the slower kernel at a
+// shape the presets run fails CI.
+//
+//   nt {16, 64, 32}: layer-0 forward      nt {16, 32, 10}: layer-1 forward
+//   tn {32, 16, 64}: layer-0 dW           tn {10, 16, 32}: layer-1 dW
+//   nn {16, 10, 32}: layer-1 dX
+//
+// Both tn rows take a post-ReLU A (about half exact zeros), which is
+// layer 0's dY in situ, so the zero-skip paths are benched at both sizes.
+// ---------------------------------------------------------------------------
+
+/// Timer for the BM_GemmMlp* pairs: one manual-time iteration reporting
+/// the fastest per-call time over 32-call batches in a 0.5 s window, with
+/// each pair's two rows run back to back. Where the rule picks the
+/// reference, both rows time the same code. On a shared 4-vCPU VM the
+/// mean time of identical code read 0.76-1.12x of itself across windows,
+/// the fastest batch 0.91-1.05x, so the minimum keeps the 0.9x gate
+/// meaningful; a host slowed for a whole window can still trip it.
+template <GemmFn kGemm, bool kPostRelu>
+void BM_GemmMlpShape(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kBatch = 32;
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  GemmOperands ops(m, k, n, kPostRelu);
+  for (auto _ : state) {
+    double best = std::numeric_limits<double>::infinity();
+    const Clock::time_point start = Clock::now();
+    while (Clock::now() - start < std::chrono::milliseconds(500)) {
+      const Clock::time_point t0 = Clock::now();
+      for (int i = 0; i < kBatch; ++i) {
+        kGemm(m, k, n, ops.a, ops.b, ops.c, 0.0f);
+        benchmark::DoNotOptimize(ops.c.data());
+      }
+      benchmark::ClobberMemory();
+      const std::chrono::duration<double> batch = Clock::now() - t0;
+      best = std::min(best, batch.count() / kBatch);
+    }
+    state.SetIterationTime(best);
+  }
+}
+
+#define SKIPTRAIN_MLP_PAIR(kind, dispatched, reference, post_relu, m, k, n) \
+  BENCHMARK(BM_GemmMlpShape<dispatched, post_relu>)                        \
+      ->Name("BM_GemmMlp" kind)                                            \
+      ->Args({m, k, n})                                                    \
+      ->Iterations(1)                                                      \
+      ->UseManualTime();                                                   \
+  BENCHMARK(BM_GemmMlpShape<reference, post_relu>)                         \
+      ->Name("BM_GemmMlp" kind "Ref")                                      \
+      ->Args({m, k, n})                                                    \
+      ->Iterations(1)                                                      \
+      ->UseManualTime()
+
+SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, false, 16, 64,
+                   32);
+SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, false, 16, 32,
+                   10);
+SKIPTRAIN_MLP_PAIR("TN", tensor::gemm_tn, tensor::gemm_tn_ref, true, 32, 16,
+                   64);
+SKIPTRAIN_MLP_PAIR("TN", tensor::gemm_tn, tensor::gemm_tn_ref, true, 10, 16,
+                   32);
+SKIPTRAIN_MLP_PAIR("NN", tensor::gemm_nn, tensor::gemm_nn_ref, false, 16, 10,
+                   32);
 
 // ---------------------------------------------------------------------------
 // Conv2d forward/backward: im2col + GEMM vs the retained direct loop, on
@@ -156,7 +242,7 @@ void BM_Conv2dBwd(benchmark::State& state) {
                   static_cast<nn::Conv2dAlgo>(state.range(1)));
   for (auto _ : state) {
     bench.conv.zero_grad();
-    bench.conv.backward(bench.input, bench.grad_out, bench.grad_in);
+    bench.conv.backward(bench.input, bench.grad_out, &bench.grad_in);
     benchmark::DoNotOptimize(bench.grad_in.raw());
   }
   state.SetLabel(state.range(1) == 1 ? "direct" : "im2col");
@@ -600,7 +686,11 @@ BENCHMARK(BM_FaultedGossipRound)
     ->Args({64, 1})
     ->Unit(benchmark::kMillisecond);
 
-void BM_LocalSgdStep(benchmark::State& state) {
+/// Layer row: one local SGD step of the compact MLP (64->32->10; arg =
+/// batch size) through Node::train_local — batch sampling, zero_grad,
+/// forward, softmax-CE, backward and the optimizer. Runs under --quick;
+/// required in the bench gate.
+void BM_SgdStepCompactMlp(benchmark::State& state) {
   data::CifarSynConfig config;
   config.nodes = 1;
   config.samples_per_node = 128;
@@ -610,11 +700,12 @@ void BM_LocalSgdStep(benchmark::State& state) {
   util::Rng rng(3);
   nn::initialize(model, rng);
   sim::Node node(0, model, dataset.node_view(0), nn::SgdOptions{0.1f}, 7);
+  const auto batch = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(node.train_local(1, 16));
+    benchmark::DoNotOptimize(node.train_local(1, batch));
   }
 }
-BENCHMARK(BM_LocalSgdStep);
+BENCHMARK(BM_SgdStepCompactMlp)->Arg(16);
 
 void BM_FullRound(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -746,7 +837,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_GemmMlp|BM_SgdStepCompactMlp|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

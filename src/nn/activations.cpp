@@ -19,11 +19,12 @@ void ReLU::forward(const Tensor& input, Tensor& output) {
 }
 
 void ReLU::backward(const Tensor& input, const Tensor& grad_output,
-                    Tensor& grad_input) {
+                    Tensor* grad_input) {
+  assert(grad_input != nullptr);
   assert(input.numel() == grad_output.numel());
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
+  const auto gin = grad_input->data();
   for (std::size_t i = 0; i < in.size(); ++i) {
     gin[i] = in[i] > 0.0f ? gout[i] : 0.0f;
   }
@@ -43,10 +44,11 @@ void Tanh::forward(const Tensor& input, Tensor& output) {
 }
 
 void Tanh::backward(const Tensor& input, const Tensor& grad_output,
-                    Tensor& grad_input) {
+                    Tensor* grad_input) {
+  assert(grad_input != nullptr);
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
+  const auto gin = grad_input->data();
   for (std::size_t i = 0; i < in.size(); ++i) {
     const float t = std::tanh(in[i]);
     gin[i] = gout[i] * (1.0f - t * t);

@@ -70,7 +70,7 @@ void Conv2d::forward(const Tensor& input, Tensor& output) {
 }
 
 void Conv2d::backward(const Tensor& input, const Tensor& grad_output,
-                      Tensor& grad_input) {
+                      Tensor* grad_input) {
   static const obs::Counter calls = obs::counter("conv.bwd_calls");
   calls.add(1);
   if (algo_ == Conv2dAlgo::kDirect) {
@@ -173,7 +173,7 @@ void backward_input_image(const ConvGeometry& g, std::size_t out_c,
 }  // namespace
 
 void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
-                             Tensor& grad_input) {
+                             Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   const ConvGeometry g = geometry(input.dim(2), input.dim(3));
   const std::size_t patch = g.patch();
@@ -185,18 +185,16 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   std::span<float> grad_w{grads_.data(), out_c_ * patch};
   float* grad_b = grads_.data() + out_c_ * patch;
 
-  grad_input.zero();
+  if (grad_input != nullptr) grad_input->zero();
   colr_.resize(ohw * patch);
   gout_t_.resize(ohw * out_c_);
 
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
 
   for (std::size_t b = 0; b < batch; ++b) {
     const float* image = in.data() + b * in_sz;
     const float* gout_plane = gout.data() + b * out_sz;
-    float* gin_image = gin.data() + b * in_sz;
 
     // Bias gradient: the direct loop's (oc, oy, ox) order and g == 0 skip.
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -221,7 +219,10 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
                     std::span<const float>{colr_.data(), ohw * patch}, grad_w,
                     /*beta=*/1.0f);
 
-    backward_input_image(g, out_c_, gout_plane, weights.data(), gin_image);
+    if (grad_input != nullptr) {
+      backward_input_image(g, out_c_, gout_plane, weights.data(),
+                           grad_input->raw() + b * in_sz);
+    }
   }
 }
 
@@ -276,7 +277,7 @@ void Conv2d::forward_direct(const Tensor& input, Tensor& output) {
 }
 
 void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
-                             Tensor& grad_input) {
+                             Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
@@ -286,10 +287,10 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
   float* grad_w = grads_.data();
   float* grad_b = grads_.data() + out_c_ * in_c_ * k_ * k_;
 
-  grad_input.zero();
+  if (grad_input != nullptr) grad_input->zero();
+  float* gin = grad_input != nullptr ? grad_input->raw() : nullptr;
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -301,7 +302,8 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
           grad_b[oc] += g;
           for (std::size_t ic = 0; ic < in_c_; ++ic) {
             const float* in_plane = in.data() + ((b * in_c_ + ic) * h) * w;
-            float* gin_plane = gin.data() + ((b * in_c_ + ic) * h) * w;
+            float* gin_plane =
+                gin != nullptr ? gin + ((b * in_c_ + ic) * h) * w : nullptr;
             const float* kernel = weights + ((oc * in_c_ + ic) * k_) * k_;
             float* gkernel = grad_w + ((oc * in_c_ + ic) * k_) * k_;
             for (std::size_t ky = 0; ky < k_; ++ky) {
@@ -317,7 +319,9 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
                 const std::size_t idx = static_cast<std::size_t>(iy) * w +
                                         static_cast<std::size_t>(ix);
                 gkernel[ky * k_ + kx] += g * in_plane[idx];
-                gin_plane[idx] += g * kernel[ky * k_ + kx];
+                if (gin_plane != nullptr) {
+                  gin_plane[idx] += g * kernel[ky * k_ + kx];
+                }
               }
             }
           }

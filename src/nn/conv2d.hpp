@@ -45,7 +45,7 @@ class Conv2d final : public ParamLayer {
   Shape output_shape(const Shape& input_shape) const override;
   void forward(const Tensor& input, Tensor& output) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
 
   std::unique_ptr<Layer> clone() const override;
 
@@ -59,7 +59,7 @@ class Conv2d final : public ParamLayer {
   /// Seed direct loops, kept as the verification reference.
   void forward_direct(const Tensor& input, Tensor& output);
   void backward_direct(const Tensor& input, const Tensor& grad_output,
-                       Tensor& grad_input);
+                       Tensor* grad_input);
 
  private:
   std::size_t spatial_out(std::size_t in) const;
@@ -67,7 +67,7 @@ class Conv2d final : public ParamLayer {
 
   void forward_im2col(const Tensor& input, Tensor& output);
   void backward_im2col(const Tensor& input, const Tensor& grad_output,
-                       Tensor& grad_input);
+                       Tensor* grad_input);
 
   std::size_t in_c_;
   std::size_t out_c_;

@@ -81,7 +81,7 @@ void GroupNorm::forward(const Tensor& input, Tensor& output) {
 }
 
 void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
-                         Tensor& grad_input) {
+                         Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
@@ -95,7 +95,7 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
   float* grad_beta = grads_.data() + channels_;
   const auto in = input.data();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
+  float* gin = grad_input != nullptr ? grad_input->raw() : nullptr;
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t g = 0; g < groups_; ++g) {
@@ -123,6 +123,7 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
         grad_gamma[c] += static_cast<float>(dgamma);
         grad_beta[c] += static_cast<float>(dbeta);
       }
+      if (gin == nullptr) continue;
 
       // Second pass: dx = inv_std * (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)).
       const float mean_dxhat = static_cast<float>(sum_dxhat / n);

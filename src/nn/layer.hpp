@@ -114,10 +114,15 @@ class Layer {
   /// output_shape(input.shape()).
   virtual void forward(const Tensor& input, Tensor& output) = 0;
 
-  /// Accumulates parameter gradients and writes grad wrt input.
+  /// Accumulates parameter gradients and, when `grad_input` is non-null,
+  /// writes the gradient wrt input into it (pre-sized to input's shape).
+  /// A null `grad_input` means nothing consumes the input gradient —
+  /// Sequential passes it to its lowest parameter layer — and the layer
+  /// skips that product. Parameter-free layers exist only to pass a
+  /// gradient on, so they require a buffer.
   /// Contract: called after forward() on the same `input`.
   virtual void backward(const Tensor& input, const Tensor& grad_output,
-                        Tensor& grad_input) = 0;
+                        Tensor* grad_input) = 0;
 
   /// Flat parameter/gradient storage; empty spans for parameter-free layers.
   virtual std::span<float> parameters() { return {}; }

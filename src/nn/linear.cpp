@@ -37,7 +37,7 @@ void Linear::forward(const Tensor& input, Tensor& output) {
 }
 
 void Linear::backward(const Tensor& input, const Tensor& grad_output,
-                      Tensor& grad_input) {
+                      Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   const std::span<const float> w{params_.data(), in_ * out_};
   std::span<float> grad_w{grads_.data(), in_ * out_};
@@ -52,7 +52,10 @@ void Linear::backward(const Tensor& input, const Tensor& grad_output,
     for (std::size_t j = 0; j < out_; ++j) grad_b[j] += row[j];
   }
   // dX[B, in] = dY[B, out] * W[out, in]
-  tensor::gemm_nn(batch, out_, in_, grad_output.data(), w, grad_input.data());
+  if (grad_input != nullptr) {
+    tensor::gemm_nn(batch, out_, in_, grad_output.data(), w,
+                    grad_input->data());
+  }
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

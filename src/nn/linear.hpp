@@ -15,7 +15,7 @@ class Linear final : public ParamLayer {
   Shape output_shape(const Shape& input_shape) const override;
   void forward(const Tensor& input, Tensor& output) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
 
   std::unique_ptr<Layer> clone() const override;
 

@@ -66,12 +66,13 @@ void MaxPool2d::forward(const Tensor& input, Tensor& output) {
 }
 
 void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
-                         Tensor& grad_input) {
+                         Tensor* grad_input) {
   (void)input;
+  assert(grad_input != nullptr);
   assert(argmax_.size() == grad_output.numel());
-  grad_input.zero();
+  grad_input->zero();
   const auto gout = grad_output.data();
-  const auto gin = grad_input.data();
+  const auto gin = grad_input->data();
   for (std::size_t i = 0; i < gout.size(); ++i) {
     gin[argmax_[i]] += gout[i];
   }
@@ -95,9 +96,10 @@ void Flatten::forward(const Tensor& input, Tensor& output) {
 }
 
 void Flatten::backward(const Tensor& input, const Tensor& grad_output,
-                       Tensor& grad_input) {
+                       Tensor* grad_input) {
   (void)input;
-  tensor::copy(grad_output.data(), grad_input.data());
+  assert(grad_input != nullptr);
+  tensor::copy(grad_output.data(), grad_input->data());
 }
 
 std::unique_ptr<Layer> Flatten::clone() const {

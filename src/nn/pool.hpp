@@ -17,7 +17,7 @@ class MaxPool2d final : public Layer {
   Shape output_shape(const Shape& input_shape) const override;
   void forward(const Tensor& input, Tensor& output) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 
  private:
@@ -32,7 +32,7 @@ class Flatten final : public Layer {
   Shape output_shape(const Shape& input_shape) const override;
   void forward(const Tensor& input, Tensor& output) override;
   void backward(const Tensor& input, const Tensor& grad_output,
-                Tensor& grad_input) override;
+                Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
 };
 

@@ -4,13 +4,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
-
 namespace skiptrain::nn {
 
 Sequential::Sequential(Sequential&& other) noexcept
     : layers_(std::move(other.layers_)),
       activations_(std::move(other.activations_)),
+      grad_activations_(std::move(other.grad_activations_)),
+      shaped_for_(std::move(other.shaped_for_)),
       owned_arena_(std::move(other.owned_arena_)),
       arena_(other.arena_),
       external_arena_(other.external_arena_) {
@@ -22,6 +22,8 @@ Sequential& Sequential::operator=(Sequential&& other) noexcept {
   if (this != &other) {
     layers_ = std::move(other.layers_);
     activations_ = std::move(other.activations_);
+    grad_activations_ = std::move(other.grad_activations_);
+    shaped_for_ = std::move(other.shaped_for_);
     owned_arena_ = std::move(other.owned_arena_);
     arena_ = other.arena_;
     external_arena_ = other.external_arena_;
@@ -94,13 +96,26 @@ const Tensor& Sequential::forward(const Tensor& input) {
   if (layers_.empty()) {
     throw std::logic_error("Sequential::forward: model has no layers");
   }
-  activations_.resize(layers_.size());
+  // Shapes follow from the input shape alone, so they are derived (and
+  // the buffers resized) only when it changes; a steady-state step
+  // allocates nothing.
+  if (!shaped_for_ || *shaped_for_ != input.shape() ||
+      activations_.size() != layers_.size()) {
+    shaped_for_.reset();  // stays unset if a layer rejects the shape
+    activations_.resize(layers_.size());
+    grad_activations_.resize(layers_.size());
+    const Shape* current = &input.shape();
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      const Shape out_shape = layers_[i]->output_shape(*current);
+      if (activations_[i].shape() != out_shape) {
+        activations_[i] = Tensor(out_shape);
+      }
+      current = &activations_[i].shape();
+    }
+    shaped_for_ = input.shape();
+  }
   const Tensor* current = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Shape out_shape = layers_[i]->output_shape(current->shape());
-    if (activations_[i].shape() != out_shape) {
-      activations_[i] = Tensor(out_shape);
-    }
     layers_[i]->forward(*current, activations_[i]);
     current = &activations_[i];
   }
@@ -109,17 +124,27 @@ const Tensor& Sequential::forward(const Tensor& input) {
 
 void Sequential::backward(const Tensor& input, const Tensor& grad_logits) {
   assert(activations_.size() == layers_.size());
-  // Walk layers in reverse; grad buffers are allocated per call. The model
-  // sizes involved (10^3..10^5 floats) make this allocation negligible
-  // relative to the matrix math.
-  Tensor grad_out = Tensor(grad_logits.shape());
-  tensor::copy(grad_logits.data(), grad_out.data());
-
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  // Nothing consumes the input gradient of the lowest layer with
+  // parameters: it gets no buffer (and skips that product), and the
+  // parameter-free layers below it are not called at all. Gradients flow
+  // through grad_activations_[i] (d loss / d activations_[i]), which are
+  // sized once per input shape like the activations.
+  std::size_t lowest = 0;
+  while (lowest < layers_.size() && layers_[lowest]->parameter_count() == 0) {
+    ++lowest;
+  }
+  const Tensor* grad_out = &grad_logits;
+  for (std::size_t i = layers_.size(); i-- > lowest;) {
+    Tensor* grad_in = nullptr;
+    if (i > lowest) {
+      grad_in = &grad_activations_[i - 1];
+      if (grad_in->shape() != activations_[i - 1].shape()) {
+        *grad_in = Tensor(activations_[i - 1].shape());
+      }
+    }
     const Tensor& layer_input = (i == 0) ? input : activations_[i - 1];
-    Tensor grad_in(layer_input.shape());
-    layers_[i]->backward(layer_input, grad_out, grad_in);
-    grad_out = std::move(grad_in);
+    layers_[i]->backward(layer_input, *grad_out, grad_in);
+    grad_out = grad_in;
   }
 }
 
@@ -154,22 +179,6 @@ void Sequential::get_gradients(std::span<float> out) const {
 void Sequential::apply_parameter_delta(std::span<const float> delta) {
   assert(delta.size() == num_parameters());
   for (std::size_t i = 0; i < arena_.size(); ++i) arena_[i] -= delta[i];
-}
-
-std::vector<std::span<float>> Sequential::parameter_spans() {
-  std::vector<std::span<float>> spans;
-  for (auto& layer : layers_) {
-    if (!layer->parameters().empty()) spans.push_back(layer->parameters());
-  }
-  return spans;
-}
-
-std::vector<std::span<float>> Sequential::gradient_spans() {
-  std::vector<std::span<float>> spans;
-  for (auto& layer : layers_) {
-    if (!layer->gradients().empty()) spans.push_back(layer->gradients());
-  }
-  return spans;
 }
 
 Sequential Sequential::clone() const {

@@ -9,12 +9,13 @@
 // Layer-view contract: layers VIEW spans of the arena instead of owning
 // storage. add(), clone() into a new object, bind_parameter_arena() and
 // attach_parameter_arena() re-lay the arena and therefore invalidate every
-// span previously obtained from parameters()/parameter_spans()/weights().
+// span previously obtained from parameters()/weights().
 // Spans stay valid across forward/backward/optimizer steps and across
 // moves of the Sequential itself.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,11 +49,14 @@ class Sequential {
   const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
   /// Runs the forward pass and returns the final activation (logits).
-  /// Buffers are retained across calls and resized when the batch changes.
+  /// Buffers are retained across calls and resized when the input shape
+  /// changes.
   const Tensor& forward(const Tensor& input);
 
-  /// Backpropagates `grad_logits` through every layer, accumulating
-  /// parameter gradients. Must follow a forward() on the same input.
+  /// Backpropagates `grad_logits` down to the lowest layer with
+  /// parameters, accumulating parameter gradients. No input gradient is
+  /// computed for that layer or the parameter-free layers below it.
+  /// Must follow a forward() on the same input.
   void backward(const Tensor& input, const Tensor& grad_logits);
 
   void zero_grad();
@@ -93,10 +97,6 @@ class Sequential {
   /// operating on the flat view.
   void apply_parameter_delta(std::span<const float> delta);
 
-  /// Per-layer parameter/gradient spans (skips parameter-free layers).
-  std::vector<std::span<float>> parameter_spans();
-  std::vector<std::span<float>> gradient_spans();
-
   /// Deep copy of layers and parameters. The copy owns its arena.
   [[nodiscard]] Sequential clone() const;
 
@@ -110,6 +110,8 @@ class Sequential {
 
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor> activations_;  // activations_[i] = output of layer i
+  std::vector<Tensor> grad_activations_;  // d loss / d activations_[i]
+  std::optional<Shape> shaped_for_;  // input shape the buffers are sized for
   std::vector<float> owned_arena_;   // empty when bound externally
   std::span<float> arena_;           // where the parameters actually live
   bool external_arena_ = false;

@@ -1,18 +1,20 @@
 // Blocked, packed GEMM kernels (see gemm.hpp for the bit-identity
 // contract). The public gemm_nn/gemm_nt/gemm_tn entry points of
-// tensor/ops.hpp dispatch between the seed reference loops (tiny shapes,
-// degenerate dims) and the blocked kernels below; both produce bitwise
-// identical C, so the dispatch threshold is a pure performance knob.
+// tensor/ops.hpp dispatch between the seed reference loops (small shapes,
+// degenerate dims) and the blocked kernels below. Both produce bitwise
+// identical C, so the dispatch rule cannot change a result — but it can
+// make a call several times slower, so its thresholds are measured and
+// the chosen kernel is gated against its reference in the bench pairs.
 //
 // Kernel structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
 // so the microkernel inner loops are pure unit-stride vector code. The
 // reference loops' skip-zero-multiplier branch is honored by scanning
 // each A sliver for zeros while packing it: zero-free slivers (the common
-// case — model parameters and activations are continuous values) run a
-// branch-free microkernel, slivers holding zeros (e.g. post-ReLU
-// gradients in gemm_tn) run a blend microkernel whose
-// `acc = av == 0 ? acc : acc + av*b` select reproduces the skip bitwise.
+// case for weights and activations) run a branch-free register tile;
+// slivers holding zeros (e.g. post-ReLU gradients) run the reference's
+// own row loop over their block, which skips each zero multiplier once
+// per panel row.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -26,6 +28,7 @@
 #include "obs/registry.hpp"
 #include "tensor/ops.hpp"
 #include "util/arena.hpp"
+#include "util/vec_clones.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -34,9 +37,25 @@
 namespace skiptrain::tensor {
 
 // ---------------------------------------------------------------------------
-// Reference kernels — the seed loops, verbatim.
+// ISA clones. Every GEMM entry point below — the references and the
+// dispatched kernels — is compiled once per ISA in the clone list and
+// flattened, so the packers, microkernels and loops it reaches are all
+// inlined into, and vectorized for, the clone the host selects. The TU's
+// -ffp-contract=off pin (CMakeLists.txt) keeps the clones bitwise equal
+// to one another; see util/vec_clones.hpp. arch=x86-64-v4 is left out:
+// its clone ran the blocked kernels an order of magnitude slower (README
+// "Performance").
 // ---------------------------------------------------------------------------
 
+#define SKIPTRAIN_GEMM_KERNEL \
+  [[gnu::flatten]] SKIPTRAIN_VEC_CLONES("avx2", "default")
+
+// ---------------------------------------------------------------------------
+// Reference kernels — the seed loops, verbatim. They are the verification
+// oracles and the small-shape production path.
+// ---------------------------------------------------------------------------
+
+SKIPTRAIN_GEMM_KERNEL
 void gemm_nn_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta) {
@@ -60,6 +79,7 @@ void gemm_nn_ref(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+SKIPTRAIN_GEMM_KERNEL
 void gemm_nt_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta) {
@@ -89,6 +109,7 @@ void gemm_nt_ref(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+SKIPTRAIN_GEMM_KERNEL
 void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
                  std::span<const float> a, std::span<const float> b,
                  std::span<float> c, float beta) {
@@ -118,9 +139,9 @@ void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
 
 namespace {
 
-// Register tile sized for the baseline x86-64 (SSE2) target the repo
-// builds for: 4x8 accumulators = 8 vector registers, leaving half the
-// register file for panel loads and broadcasts.
+// Register tile: 4x8 accumulators = 8 SSE2 registers in the default clone
+// (half the register file, leaving room for panel loads and broadcasts),
+// 4 ymm registers in the AVX2 clone.
 constexpr std::size_t kMR = 4;  // microkernel register-tile rows
 constexpr std::size_t kNR = 8;  // microkernel register-tile columns
 
@@ -274,34 +295,14 @@ void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
   }
 }
 
-/// C-accumulating tile for gemm_nn / gemm_tn, zero-free A sliver: the
-/// reference skip branch can never fire, so the plain fused loop is
+/// C-accumulating tile for gemm_nn / gemm_tn over a zero-free A sliver:
+/// the reference skip branch can never fire, so the plain fused loop is
 /// bitwise identical and fully vectorizable.
-void micro_cacc_fast(std::size_t kc, const float* __restrict__ ap,
-                     const float* __restrict__ bp, float* __restrict__ c,
-                     std::size_t ldc, float beta, bool first_block) {
-  float acc[kMR][kNR];
-  load_c_tile<true>(acc, kMR, kNR, c, ldc, beta, first_block);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict__ arow = ap + p * kMR;
-    const float* __restrict__ brow = bp + p * kNR;
-    for (std::size_t r = 0; r < kMR; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  store_c_tile<true>(acc, kMR, kNR, c, ldc);
-}
-
-/// C-accumulating tile for A slivers that DO hold zeros (and for edge
-/// tiles): the select keeps the old accumulator when av == 0, which is
-/// bitwise the reference's skip (an av of exactly zero contributes not
-/// even a sign flip), and if-converts to a vector blend.
 template <bool kFull>
-void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
-                      const float* __restrict__ ap,
-                      const float* __restrict__ bp, float* __restrict__ c,
-                      std::size_t ldc, float beta, bool first_block) {
+void micro_cacc(std::size_t mr, std::size_t nr, std::size_t kc,
+                const float* __restrict__ ap, const float* __restrict__ bp,
+                float* __restrict__ c, std::size_t ldc, float beta,
+                bool first_block) {
   const std::size_t rows = kFull ? kMR : mr;
   const std::size_t cols = kFull ? kNR : nr;
   float acc[kMR][kNR];
@@ -311,12 +312,37 @@ void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
     const float* __restrict__ brow = bp + p * kNR;
     for (std::size_t r = 0; r < rows; ++r) {
       const float av = arow[r];
-      for (std::size_t j = 0; j < cols; ++j) {
-        acc[r][j] = (av == 0.0f) ? acc[r][j] : acc[r][j] + av * brow[j];
-      }
+      for (std::size_t j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
     }
   }
   store_c_tile<kFull>(acc, mr, nr, c, ldc);
+}
+
+/// C-accumulating rows for an A sliver that holds zeros (e.g. post-ReLU
+/// gradients): the reference loop itself, restricted to this block —
+/// each row walks p ascending and skips exact-zero multipliers, updating
+/// its whole panel of C straight from the unpacked B rows (row stride
+/// ldb). A register tile would have to test or blend every multiplier
+/// once per kNR columns; this tests it once per panel row, as the
+/// reference does, and keeps the skip's saving.
+void rows_cacc_skip(std::size_t mr, std::size_t nc, std::size_t kc,
+                    const float* __restrict__ ap, const float* __restrict__ b,
+                    std::size_t ldb, float* __restrict__ c, std::size_t ldc,
+                    float beta, bool first_block) {
+  for (std::size_t r = 0; r < mr; ++r) {
+    float* __restrict__ crow = c + r * ldc;
+    if (first_block && beta == 0.0f) {
+      std::fill(crow, crow + nc, 0.0f);
+    } else if (first_block && beta != 1.0f) {
+      for (std::size_t j = 0; j < nc; ++j) crow[j] *= beta;
+    }
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float av = ap[p * kMR + r];
+      if (av == 0.0f) continue;
+      const float* __restrict__ brow = b + p * ldb;
+      for (std::size_t j = 0; j < nc; ++j) crow[j] += av * brow[j];
+    }
+  }
 }
 
 /// Register tile for gemm_nt: fresh dot accumulators over the whole k
@@ -375,22 +401,21 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
         for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
           const std::size_t mr = std::min(kMR, mc - i0);
           const float* asliver = ap + (i0 / kMR) * kc * kMR;
-          const bool has_zero = zeros[i0 / kMR] != 0;
           float* crow = c.data() + (ic + i0) * n + jc;
+          if (zeros[i0 / kMR] != 0) {
+            rows_cacc_skip(mr, nc, kc, asliver, b.data() + pc * n + jc, n,
+                           crow, n, beta, first);
+            continue;
+          }
           for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
             const std::size_t nr = std::min(kNR, nc - j0);
             const float* bsliver = bp + (j0 / kNR) * kc * kNR;
             if (mr == kMR && nr == kNR) {
-              if (has_zero) {
-                micro_cacc_guard<true>(kMR, kNR, kc, asliver, bsliver,
-                                       crow + j0, n, beta, first);
-              } else {
-                micro_cacc_fast(kc, asliver, bsliver, crow + j0, n, beta,
-                                first);
-              }
+              micro_cacc<true>(kMR, kNR, kc, asliver, bsliver, crow + j0, n,
+                               beta, first);
             } else {
-              micro_cacc_guard<false>(mr, nr, kc, asliver, bsliver, crow + j0,
-                                      n, beta, first);
+              micro_cacc<false>(mr, nr, kc, asliver, bsliver, crow + j0, n,
+                                beta, first);
             }
           }
         }
@@ -447,11 +472,6 @@ void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-/// Below this work volume the packing overhead outweighs the locality win;
-/// both sides are bitwise identical, so the threshold is purely a perf
-/// knob.
-constexpr std::size_t kBlockedMinVolume = 32 * 1024;
-
 }  // namespace
 
 const GemmTuning& gemm_tuning() {
@@ -474,15 +494,34 @@ void note_gemm(std::size_t m, std::size_t k, std::size_t n) {
   macs.add(static_cast<std::uint64_t>(m) * k * n);
 }
 
+/// Dispatch rule: a call takes the blocked kernel once its volume m*k*n
+/// reaches its family's threshold, below which packing costs more than
+/// blocking saves. Both sides are bitwise identical; the thresholds sit
+/// at the crossover measured at the shapes the presets run (README
+/// "Performance"; micro_substrate's BM_GemmMlp* pairs gate them):
+///  - nt: the reference is a scalar dot loop (a float reduction cannot
+///    vectorize without reassociating), so blocking pays early: the
+///    compact MLP's forward 16x64x32 runs ~5x faster blocked, while
+///    16x32x10 (one full and one 2-column edge tile) is a tie.
+///  - nn/tn: the references stream vectorized C rows and skip zero
+///    multipliers, so small calls fed post-ReLU gradients run faster on
+///    them: the compact MLP's layer-0 dW, tn 32x16x64 with ~50% zero A,
+///    takes ~2 us on the reference vs ~3.5 us blocked.
+/// The two families need separate thresholds because those two compact
+/// shapes have the same volume, 32768.
+constexpr std::size_t kNtBlockedMinVolume = 32 * 1024;
+constexpr std::size_t kCaccBlockedMinVolume = 64 * 1024;
+
 }  // namespace
 
+SKIPTRAIN_GEMM_KERNEL
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
   note_gemm(m, k, n);
   // k == 0 must still apply beta to C — the reference handles it.
-  if (k == 0 || n < 8 || m * k * n < kBlockedMinVolume) {
+  if (k == 0 || n < 8 || m * k * n < kCaccBlockedMinVolume) {
     gemm_nn_ref(m, k, n, a, b, c, beta);
     return;
   }
@@ -494,24 +533,26 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
       });
 }
 
+SKIPTRAIN_GEMM_KERNEL
 void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
   note_gemm(m, k, n);
-  if (k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume) {
+  if (k == 0 || n < 4 || k > 65536 || m * k * n < kNtBlockedMinVolume) {
     gemm_nt_ref(m, k, n, a, b, c, beta);
     return;
   }
   gemm_nt_blocked(m, k, n, a, b, c, beta);
 }
 
+SKIPTRAIN_GEMM_KERNEL
 void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
   note_gemm(m, k, n);
-  if (k == 0 || n < 8 || m * k * n < kBlockedMinVolume) {
+  if (k == 0 || n < 8 || m * k * n < kCaccBlockedMinVolume) {
     gemm_tn_ref(m, k, n, a, b, c, beta);
     return;
   }

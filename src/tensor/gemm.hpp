@@ -19,8 +19,9 @@
 //     with beta — the same op sequence as the reference inner loop.
 //
 // Every accumulation is written in the same `acc += a * b` expression
-// shape as the reference loops, so FP contraction (when a target enables
-// FMA) applies to both sides identically.
+// shape as the reference loops, and the TU is compiled with
+// -ffp-contract=off, so no ISA clone (gemm.cpp compiles AVX2 and default
+// variants of every entry point) ever fuses one into an FMA.
 //
 // What the blocked kernels add is purely locality and ILP: B panels are
 // packed into dense aligned scratch sized from L1/L2 (measured once at

@@ -75,17 +75,30 @@ void check_case(const ConvCase& cc, std::uint64_t seed,
   Tensor gin_a(input.shape()), gin_b(input.shape());
   direct.zero_grad();
   lowered.zero_grad();
-  direct.backward(input, gout, gin_a);
-  lowered.backward(input, gout, gin_b);
+  direct.backward(input, gout, &gin_a);
+  lowered.backward(input, gout, &gin_b);
   expect_bits_equal(gin_b.data(), gin_a.data(), "grad_input");
   expect_bits_equal(lowered.gradients(), direct.gradients(), "grad_params");
 
   // Second backward without zero_grad: gradient accumulation (beta == 1
   // into existing grads) must stay bit-identical too.
-  direct.backward(input, gout, gin_a);
-  lowered.backward(input, gout, gin_b);
+  direct.backward(input, gout, &gin_a);
+  lowered.backward(input, gout, &gin_b);
   expect_bits_equal(lowered.gradients(), direct.gradients(),
                     "grad_params accumulated");
+
+  // No input gradient requested (Sequential's lowest parameter layer):
+  // both algorithms skip dX and still produce the same parameter grads.
+  const std::vector<float> with_dx(direct.gradients().begin(),
+                                   direct.gradients().end());
+  direct.zero_grad();
+  lowered.zero_grad();
+  direct.backward(input, gout, nullptr);
+  direct.backward(input, gout, nullptr);
+  lowered.backward(input, gout, nullptr);
+  lowered.backward(input, gout, nullptr);
+  expect_bits_equal(direct.gradients(), with_dx, "grad_params without dX");
+  expect_bits_equal(lowered.gradients(), with_dx, "grad_params without dX");
 }
 
 TEST(ConvIm2col, ModelZooShapes) {

@@ -149,6 +149,65 @@ TEST(GemmBlocked, BetaZeroNeverReadsCAnyVariantAnyPath) {
   }
 }
 
+TEST(GemmBlocked, DispatchCrossoverFuzz) {
+  // Sweeps the dispatched entry points across the reference/blocked
+  // crossover (volumes from 1 to ~70k MACs straddle both families'
+  // thresholds, and n straddles the 8-column tile) against the oracles,
+  // bitwise, with dense and ~50%-zero A (post-ReLU gradients, including
+  // negative zeros, against a B holding infinities) and a NaN-poisoned C
+  // whenever beta == 0.
+  //
+  // Which ISA clone runs depends on the build: in Release builds on an
+  // AVX2 host both the dispatched kernels and the oracles run their AVX2
+  // clone; SKIPTRAIN_VEC_CLONES expands to nothing under
+  // __SANITIZE_ADDRESS__, so the ASan leg checks the default (SSE2) code.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> a, b, c, ref;
+  for (std::size_t m = 1; m <= 33; ++m) {
+    for (const std::size_t n : {1, 4, 7, 8, 10, 31, 32, 33}) {
+      for (const std::size_t k : {1, 16, 63, 64, 65}) {
+        for (const bool zero_heavy : {false, true}) {
+          util::Rng rng(m * 7919 + n * 104729 + k * 31 + zero_heavy);
+          a.resize(m * k);
+          b.resize(k * n);
+          rng.fill_normal(a, 0.0f, 1.0f);
+          rng.fill_normal(b, 0.0f, 1.0f);
+          if (zero_heavy) {
+            for (float& v : a) {
+              if (v < 0.0f) v = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+            }
+            // 0 * inf is NaN, so a kernel that fails to skip a zero
+            // multiplier cannot hide behind x + 0 == x.
+            for (std::size_t i = 5; i < b.size(); i += 97) {
+              b[i] = std::numeric_limits<float>::infinity();
+            }
+          }
+          std::vector<float> c_init(m * n);
+          rng.fill_normal(c_init, 0.0f, 1.0f);
+          for (const float beta : {0.0f, 1.0f, 0.5f}) {
+            const auto run = [&](auto dispatched, auto oracle,
+                                 const char* what) {
+              if (beta == 0.0f) {
+                c.assign(m * n, nan);
+              } else {
+                c = c_init;
+              }
+              ref = c;
+              dispatched(m, k, n, a, b, c, beta);
+              oracle(m, k, n, a, b, ref, beta);
+              expect_bitwise_equal(c, ref, what, m, k, n, beta);
+            };
+            run(gemm_nn, gemm_nn_ref, "gemm_nn");
+            run(gemm_nt, gemm_nt_ref, "gemm_nt");
+            run(gemm_tn, gemm_tn_ref, "gemm_tn");
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmTuning, DerivedBlocksAreSane) {
   const GemmTuning& tun = gemm_tuning();
   EXPECT_GE(tun.kc, 64u);

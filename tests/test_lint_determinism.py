@@ -37,6 +37,7 @@ EXPECTED_FIXTURE_HITS = {
     ("src/sim/bad_rng.cpp", 12, "time-seed"),
     ("src/sweep/bad_unordered.cpp", 12, "unordered-iter"),
     ("src/sweep/bad_unordered.cpp", 22, "unordered-iter"),
+    ("src/tensor/bad_macro_clone_unpinned.cpp", 8, "fp-contract-pin"),
 }
 
 # Fixture files that must come back CLEAN (exemptions + escape hatches).

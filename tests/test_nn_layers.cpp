@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -81,7 +84,7 @@ TEST(ReLUTest, BackwardMasksGradient) {
   grad_out.at(0) = 7.0f;
   grad_out.at(1) = 7.0f;
   Tensor grad_in({1, 2});
-  relu.backward(input, grad_out, grad_in);
+  relu.backward(input, grad_out, &grad_in);
   EXPECT_EQ(grad_in.at(0), 0.0f);
   EXPECT_EQ(grad_in.at(1), 7.0f);
 }
@@ -97,7 +100,7 @@ TEST(TanhTest, ForwardAndDerivative) {
   Tensor grad_out({1, 1});
   grad_out.at(0) = 1.0f;
   Tensor grad_in({1, 1});
-  tanh_layer.backward(input, grad_out, grad_in);
+  tanh_layer.backward(input, grad_out, &grad_in);
   const float t = std::tanh(0.5f);
   EXPECT_NEAR(grad_in.at(0), 1.0f - t * t, 1e-6f);
 }
@@ -178,7 +181,7 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   Tensor grad_out({1, 1, 1, 1});
   grad_out.at(0) = 4.0f;
   Tensor grad_in({1, 1, 2, 2});
-  pool.backward(input, grad_out, grad_in);
+  pool.backward(input, grad_out, &grad_in);
   EXPECT_EQ(grad_in.at(0), 0.0f);
   EXPECT_EQ(grad_in.at(1), 4.0f);  // the max position
   EXPECT_EQ(grad_in.at(2), 0.0f);
@@ -325,6 +328,77 @@ TEST(InitTest, BiasesAreZeroWeightsBounded) {
     EXPECT_LE(w, bound);
   }
   for (const float b : linear->bias()) EXPECT_EQ(b, 0.0f);
+}
+
+// Sequential::backward skips the input gradient of its lowest parameter
+// layer and never calls the parameter-free layers below it. Parameter
+// gradients must still equal, bitwise, a hand-chained backward over the
+// same layers that computes every input gradient.
+void expect_backward_matches_hand_chain(Sequential& model,
+                                        const Tensor& input,
+                                        std::uint64_t seed) {
+  util::Rng rng(seed);
+  initialize(model, rng);
+  Sequential chained = model.clone();
+
+  model.zero_grad();
+  const Tensor& logits = model.forward(input);
+  Tensor grad_logits(logits.shape());
+  rng.fill_normal(grad_logits.data(), 0.0f, 1.0f);
+  model.backward(input, grad_logits);
+
+  chained.zero_grad();
+  std::vector<Tensor> acts;
+  acts.reserve(chained.num_layers());
+  const Tensor* current = &input;
+  for (std::size_t i = 0; i < chained.num_layers(); ++i) {
+    acts.emplace_back(chained.layer(i).output_shape(current->shape()));
+    chained.layer(i).forward(*current, acts.back());
+    current = &acts.back();
+  }
+  Tensor grad = grad_logits;
+  for (std::size_t i = chained.num_layers(); i-- > 0;) {
+    const Tensor& layer_input = i == 0 ? input : acts[i - 1];
+    Tensor grad_in(layer_input.shape());
+    chained.layer(i).backward(layer_input, grad, &grad_in);
+    grad = std::move(grad_in);
+  }
+
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    const auto got = model.layer(l).gradients();
+    const auto want = chained.layer(l).gradients();
+    ASSERT_EQ(got.size(), want.size()) << model.layer(l).name();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << model.layer(l).name() << " gradient " << i;
+    }
+  }
+}
+
+TEST(SequentialBackward, MlpMatchesHandChain) {
+  Sequential model = make_mlp(12, {16, 8}, 5);
+  Tensor input({4, 12});
+  util::Rng(21).fill_normal(input.data(), 0.0f, 1.0f);
+  expect_backward_matches_hand_chain(model, input, 22);
+}
+
+TEST(SequentialBackward, ConvFirstCnnMatchesHandChain) {
+  Sequential model = make_cifar_cnn();
+  Tensor input({2, 3, 32, 32});
+  util::Rng(23).fill_normal(input.data(), 0.0f, 1.0f);
+  expect_backward_matches_hand_chain(model, input, 24);
+}
+
+TEST(SequentialBackward, ReluFirstMatchesHandChain) {
+  Sequential model;
+  model.emplace<ReLU>();
+  model.emplace<Linear>(12, 8);
+  model.emplace<Tanh>();
+  model.emplace<Linear>(8, 3);
+  Tensor input({5, 12});
+  util::Rng(25).fill_normal(input.data(), 0.0f, 1.0f);
+  expect_backward_matches_hand_chain(model, input, 26);
 }
 
 TEST(SequentialTest, SummaryMentionsLayersAndTotal) {

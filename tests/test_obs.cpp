@@ -1,9 +1,11 @@
 // Telemetry subsystem tests: exactness of the sharded registry under
 // concurrent writers, span nesting in the emitted trace JSON, and the
-// zero-allocation guarantee on the disabled hot path.
+// zero-allocation guarantees on the disabled hot path and on a
+// steady-state local SGD step (this TU owns the counting operator new).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -14,10 +16,16 @@
 #include <thread>
 #include <vector>
 
+#include "data/synthetic.hpp"
+#include "nn/init.hpp"
+#include "nn/loss.hpp"
+#include "nn/model_zoo.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/phase.hpp"
 #include "obs/registry.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
+#include "sim/node.hpp"
 
 // --- global allocation counter for the zero-allocation test ---------------
 // Replacing the global operators in ONE test TU is binary-wide, so the
@@ -38,10 +46,27 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses one) are
+// released through the plain deletes below, so they must come from the
+// same malloc — ASan reports a sanitizer-new / free pairing otherwise.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace skiptrain::obs {
 namespace {
@@ -320,6 +345,53 @@ TEST(ObsRegistry, RecordingThroughHandlesNeverAllocates) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
       << "disabled-mode record allocated";
   set_enabled(true);
+}
+
+// A node's local SGD step — batch sampling, forward, loss, backward and
+// the optimizer — reuses every buffer once the first step has sized it.
+TEST(SteadyStateStep, TrainLocalAllocatesNothingAfterWarmUp) {
+  data::CifarSynConfig config;
+  config.nodes = 1;
+  config.samples_per_node = 64;
+  config.test_pool = 10;
+  const data::FederatedData dataset = data::make_cifar_synthetic(config);
+  nn::Sequential model = nn::make_compact_cifar_model(config.feature_dim);
+  util::Rng rng(3);
+  nn::initialize(model, rng);
+  sim::Node node(0, model, dataset.node_view(0), nn::SgdOptions{0.1f}, 7);
+
+  (void)node.train_local(1, 16);  // warm-up: sizes buffers, registers taps
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const double loss = node.train_local(1, 16);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
+      << "steady-state train_local step allocated";
+  EXPECT_TRUE(std::isfinite(loss));
+}
+
+// The same holds for the conv stack (im2col scratch, GroupNorm statistics
+// and pooling masks are all grow-only) and a momentum optimizer.
+TEST(SteadyStateStep, CnnStepAllocatesNothingAfterWarmUp) {
+  nn::Sequential model = nn::make_cifar_cnn();
+  util::Rng rng(5);
+  nn::initialize(model, rng);
+  nn::SgdOptimizer optimizer({0.05f, 0.9f, 1e-4f});
+  tensor::Tensor input({2, 3, 32, 32});
+  rng.fill_normal(input.data(), 0.0f, 1.0f);
+  const std::vector<std::int32_t> labels = {3, 7};
+  tensor::Tensor grad_logits({2, 10});
+  const auto step = [&] {
+    model.zero_grad();
+    const tensor::Tensor& logits = model.forward(input);
+    (void)nn::softmax_cross_entropy(logits, labels, grad_logits);
+    model.backward(input, grad_logits);
+    optimizer.step(model);
+  };
+
+  step();  // warm-up
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  step();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
+      << "steady-state CNN step allocated";
 }
 
 }  // namespace

@@ -31,7 +31,8 @@ at review time:
                    down and reviewable. Applies to src/ and bench/;
                    tests keep the conservative seq_cst default.
   fp-contract-pin  a TU defining ISA-cloned kernels (target_clones /
-                   __attribute__((target(...)))) must be pinned with
+                   __attribute__((target(...))) / the SKIPTRAIN_VEC_CLONES
+                   macro) must be pinned with
                    -ffp-contract=off in CMakeLists.txt, or wider-FMA
                    clones produce different bits than the scalar clone.
   float-accum      float-typed accumulators (sum/total/acc...) outside
@@ -96,7 +97,11 @@ ATOMIC_METHOD_RE = re.compile(
     r"|fetch_xor|test_and_set|clear|wait"
     r"|compare_exchange_weak|compare_exchange_strong)\s*\(")
 ATOMIC_DECL_RE = re.compile(r"std::atomic(?:_flag)?\s*<[^;>]*>\s+(\w+)\s*[;{=]")
-ISA_CLONE_RE = re.compile(r"target_clones|__attribute__\s*\(\s*\(\s*target\s*\(")
+# SKIPTRAIN_VEC_CLONES (src/util/vec_clones.hpp) wraps target_clones in a
+# header, so a TU cloning through it never spells the attribute itself.
+ISA_CLONE_RE = re.compile(
+    r"target_clones|__attribute__\s*\(\s*\(\s*target\s*\("
+    r"|\bSKIPTRAIN_VEC_CLONES\b")
 FLOAT_ACCUM_RE = re.compile(
     r"\bfloat\s+(\w*(?:sum|total|accum|acc)\w*)\s*[={]", re.IGNORECASE)
 
