@@ -69,19 +69,14 @@ using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
                         std::span<const float>, std::span<const float>,
                         std::span<float>, float);
 
-/// Deterministic operands for one {m, k, n} GEMM (A and B get the same
-/// extent whichever layout reads them). post_relu zeroes A's negative
-/// half, as the ReLU backward does to the gradients gemm_tn multiplies —
-/// the zero-skip path normal A never takes.
+/// Deterministic dense operands for one {m, k, n} GEMM (A and B get the
+/// same extent whichever layout reads them).
 struct GemmOperands {
-  GemmOperands(std::size_t m, std::size_t k, std::size_t n, bool post_relu)
+  GemmOperands(std::size_t m, std::size_t k, std::size_t n)
       : a(m * k), b(k * n), c(m * n) {
     util::Rng rng(12);
     rng.fill_normal(a, 0.0f, 1.0f);
     rng.fill_normal(b, 0.0f, 1.0f);
-    if (post_relu) {
-      for (float& v : a) v = std::max(v, 0.0f);
-    }
   }
   std::vector<float> a, b, c;
 };
@@ -91,7 +86,7 @@ void BM_GemmShape(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   const auto n = static_cast<std::size_t>(state.range(2));
-  GemmOperands ops(m, k, n, /*post_relu=*/false);
+  GemmOperands ops(m, k, n);
   for (auto _ : state) {
     kGemm(m, k, n, ops.a, ops.b, ops.c, 0.0f);
     benchmark::DoNotOptimize(ops.c.data());
@@ -130,35 +125,36 @@ BENCHMARK(BM_GemmShape<tensor::gemm_tn_ref>)
     ->Apply(GemmTNShapes);
 
 // ---------------------------------------------------------------------------
-// The compact MLP's (64->32->10, batch 16) training GEMMs through the
-// dispatched entry points (BM_GemmMlp*) and their references
-// (BM_GemmMlp*Ref). Runs under --quick; the bench gate pairs each with
-// its reference, so a dispatch rule that picks the slower kernel at a
-// shape the presets run fails CI.
+// The compact MLPs' training GEMMs (batch 16) that the dispatch rule sends
+// to a blocked kernel, through the dispatched entry points (BM_GemmMlp*)
+// and their references (BM_GemmMlp*Ref). Runs under --quick; the bench
+// gate pairs each with its reference, so a blocked kernel that falls
+// behind the reference it replaces at a shape the presets run fails CI.
 //
-//   nt {16, 64, 32}: layer-0 forward      nt {16, 32, 10}: layer-1 forward
-//   tn {32, 16, 64}: layer-0 dW           tn {10, 16, 32}: layer-1 dW
-//   nn {16, 10, 32}: layer-1 dX
+//   CIFAR 64->32->10:    nt {16, 64, 32}: layer-0 forward
+//   FEMNIST 64->48->62:  nt {16, 64, 48}: layer-0 forward
+//                        nt {16, 48, 62}: layer-1 forward
+//                        tn {62, 16, 48}: layer-1 dW (dense dY)
+//                        nn {16, 62, 48}: layer-1 dX (dense dY)
 //
-// Both tn rows take a post-ReLU A (about half exact zeros), which is
-// layer 0's dY in situ, so the zero-skip paths are benched at both sizes.
+// The other training GEMMs (below the volume threshold, or a post-ReLU
+// A) run the reference either way, so a timing pair would compare code
+// with itself; test_gemm_blocked's GemmDispatch tests pin those picks.
 // ---------------------------------------------------------------------------
 
 /// Timer for the BM_GemmMlp* pairs: one manual-time iteration reporting
 /// the fastest per-call time over 32-call batches in a 0.5 s window, with
-/// each pair's two rows run back to back. Where the rule picks the
-/// reference, both rows time the same code. On a shared 4-vCPU VM the
-/// mean time of identical code read 0.76-1.12x of itself across windows,
-/// the fastest batch 0.91-1.05x, so the minimum keeps the 0.9x gate
-/// meaningful; a host slowed for a whole window can still trip it.
-template <GemmFn kGemm, bool kPostRelu>
+/// each pair's two rows run back to back. On a shared 4-vCPU VM the mean
+/// time of identical code read 0.76-1.12x of itself across windows, the
+/// fastest batch 0.91-1.05x; the pairs' kernels differ by 1.5x or more.
+template <GemmFn kGemm>
 void BM_GemmMlpShape(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   constexpr int kBatch = 32;
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   const auto n = static_cast<std::size_t>(state.range(2));
-  GemmOperands ops(m, k, n, kPostRelu);
+  GemmOperands ops(m, k, n);
   for (auto _ : state) {
     double best = std::numeric_limits<double>::infinity();
     const Clock::time_point start = Clock::now();
@@ -176,28 +172,23 @@ void BM_GemmMlpShape(benchmark::State& state) {
   }
 }
 
-#define SKIPTRAIN_MLP_PAIR(kind, dispatched, reference, post_relu, m, k, n) \
-  BENCHMARK(BM_GemmMlpShape<dispatched, post_relu>)                        \
-      ->Name("BM_GemmMlp" kind)                                            \
-      ->Args({m, k, n})                                                    \
-      ->Iterations(1)                                                      \
-      ->UseManualTime();                                                   \
-  BENCHMARK(BM_GemmMlpShape<reference, post_relu>)                         \
-      ->Name("BM_GemmMlp" kind "Ref")                                      \
-      ->Args({m, k, n})                                                    \
-      ->Iterations(1)                                                      \
+#define SKIPTRAIN_MLP_PAIR(kind, dispatched, reference, m, k, n) \
+  BENCHMARK(BM_GemmMlpShape<dispatched>)                          \
+      ->Name("BM_GemmMlp" kind)                                   \
+      ->Args({m, k, n})                                           \
+      ->Iterations(1)                                             \
+      ->UseManualTime();                                          \
+  BENCHMARK(BM_GemmMlpShape<reference>)                           \
+      ->Name("BM_GemmMlp" kind "Ref")                             \
+      ->Args({m, k, n})                                           \
+      ->Iterations(1)                                             \
       ->UseManualTime()
 
-SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, false, 16, 64,
-                   32);
-SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, false, 16, 32,
-                   10);
-SKIPTRAIN_MLP_PAIR("TN", tensor::gemm_tn, tensor::gemm_tn_ref, true, 32, 16,
-                   64);
-SKIPTRAIN_MLP_PAIR("TN", tensor::gemm_tn, tensor::gemm_tn_ref, true, 10, 16,
-                   32);
-SKIPTRAIN_MLP_PAIR("NN", tensor::gemm_nn, tensor::gemm_nn_ref, false, 16, 10,
-                   32);
+SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, 16, 64, 32);
+SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, 16, 64, 48);
+SKIPTRAIN_MLP_PAIR("NT", tensor::gemm_nt, tensor::gemm_nt_ref, 16, 48, 62);
+SKIPTRAIN_MLP_PAIR("TN", tensor::gemm_tn, tensor::gemm_tn_ref, 62, 16, 48);
+SKIPTRAIN_MLP_PAIR("NN", tensor::gemm_nn, tensor::gemm_nn_ref, 16, 62, 48);
 
 // ---------------------------------------------------------------------------
 // Conv2d forward/backward: im2col + GEMM vs the retained direct loop, on

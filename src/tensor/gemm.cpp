@@ -1,20 +1,17 @@
 // Blocked, packed GEMM kernels (see gemm.hpp for the bit-identity
 // contract). The public gemm_nn/gemm_nt/gemm_tn entry points of
 // tensor/ops.hpp dispatch between the seed reference loops (small shapes,
-// degenerate dims) and the blocked kernels below. Both produce bitwise
-// identical C, so the dispatch rule cannot change a result — but it can
-// make a call several times slower, so its thresholds are measured and
-// the chosen kernel is gated against its reference in the bench pairs.
+// degenerate dims, and for nn/tn any A holding an exact zero) and the
+// blocked kernels below. Both produce bitwise identical C, so the
+// dispatch rule cannot change a result — but it can make a call several
+// times slower, so it is measured (see the rule below) and tested.
 //
 // Kernel structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
 // so the microkernel inner loops are pure unit-stride vector code. The
-// reference loops' skip-zero-multiplier branch is honored by scanning
-// each A sliver for zeros while packing it: zero-free slivers (the common
-// case for weights and activations) run a branch-free register tile;
-// slivers holding zeros (e.g. post-ReLU gradients) run the reference's
-// own row loop over their block, which skips each zero multiplier once
-// per panel row.
+// reference nn/tn loops skip exact-zero multipliers; the blocked nn/tn
+// kernels only ever see a zero-free A, where that skip never fires, so
+// their plain accumulation is bitwise the reference's.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -23,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <vector>
 
 #include "obs/registry.hpp"
 #include "tensor/ops.hpp"
@@ -174,9 +170,8 @@ GemmTuning derive_tuning() {
 /// (64-byte aligned, huge-page-advised past 2 MiB; per thread — the
 /// engines run GEMMs from pool workers, never nested).
 struct PackScratch {
-  util::AlignedArena a;                // packed A slivers
-  util::AlignedArena b;                // packed B slivers
-  std::vector<std::uint8_t> a_zeros;   // per-A-sliver "contains a zero" flag
+  util::AlignedArena a;  // packed A slivers
+  util::AlignedArena b;  // packed B slivers
 };
 
 thread_local PackScratch t_scratch;
@@ -214,47 +209,34 @@ void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
 }
 
 /// Packs A[ic..ic+mc, pc..pc+kc] of a row-major [m, k] matrix (lda == k)
-/// into kMR-row slivers, recording per sliver whether it holds any exact
-/// zero (selects the skip-preserving microkernel).
+/// into kMR-row slivers.
 void pack_a_rows(const float* __restrict__ a, std::size_t lda, std::size_t ic,
                  std::size_t pc, std::size_t mc, std::size_t kc,
-                 float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
+                 float* __restrict__ dst) {
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
     const std::size_t w = std::min(kMR, mc - i0);
     float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
-    bool any_zero = false;
     for (std::size_t r = 0; r < w; ++r) {
       const float* __restrict__ src = a + (ic + i0 + r) * lda + pc;
       float* __restrict__ o = out + r;
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float v = src[p];
-        o[p * kMR] = v;
-        any_zero |= (v == 0.0f);
-      }
+      for (std::size_t p = 0; p < kc; ++p) o[p * kMR] = src[p];
     }
-    zeros[i0 / kMR] = any_zero ? 1 : 0;
   }
 }
 
 /// Packs A[pc..pc+kc, ic..ic+mc] of a row-major [k, m] matrix (lda == m —
-/// the gemm_tn layout) into kMR-row slivers with zero flags.
+/// the gemm_tn layout) into kMR-row slivers.
 void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
                  std::size_t pc, std::size_t mc, std::size_t kc,
-                 float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
+                 float* __restrict__ dst) {
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
     const std::size_t w = std::min(kMR, mc - i0);
     float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
-    bool any_zero = false;
     for (std::size_t p = 0; p < kc; ++p) {
       const float* __restrict__ src = a + (pc + p) * lda + ic + i0;
       float* __restrict__ o = out + p * kMR;
-      for (std::size_t r = 0; r < w; ++r) {
-        const float v = src[r];
-        o[r] = v;
-        any_zero |= (v == 0.0f);
-      }
+      for (std::size_t r = 0; r < w; ++r) o[r] = src[r];
     }
-    zeros[i0 / kMR] = any_zero ? 1 : 0;
   }
 }
 
@@ -295,8 +277,9 @@ void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
   }
 }
 
-/// C-accumulating tile for gemm_nn / gemm_tn over a zero-free A sliver:
-/// the reference skip branch can never fire, so the plain fused loop is
+/// C-accumulating tile for gemm_nn / gemm_tn. A is zero-free (the
+/// dispatch rule sends any A holding a zero to the reference), so the
+/// reference skip branch can never fire and the plain fused loop is
 /// bitwise identical and fully vectorizable.
 template <bool kFull>
 void micro_cacc(std::size_t mr, std::size_t nr, std::size_t kc,
@@ -316,33 +299,6 @@ void micro_cacc(std::size_t mr, std::size_t nr, std::size_t kc,
     }
   }
   store_c_tile<kFull>(acc, mr, nr, c, ldc);
-}
-
-/// C-accumulating rows for an A sliver that holds zeros (e.g. post-ReLU
-/// gradients): the reference loop itself, restricted to this block —
-/// each row walks p ascending and skips exact-zero multipliers, updating
-/// its whole panel of C straight from the unpacked B rows (row stride
-/// ldb). A register tile would have to test or blend every multiplier
-/// once per kNR columns; this tests it once per panel row, as the
-/// reference does, and keeps the skip's saving.
-void rows_cacc_skip(std::size_t mr, std::size_t nc, std::size_t kc,
-                    const float* __restrict__ ap, const float* __restrict__ b,
-                    std::size_t ldb, float* __restrict__ c, std::size_t ldc,
-                    float beta, bool first_block) {
-  for (std::size_t r = 0; r < mr; ++r) {
-    float* __restrict__ crow = c + r * ldc;
-    if (first_block && beta == 0.0f) {
-      std::fill(crow, crow + nc, 0.0f);
-    } else if (first_block && beta != 1.0f) {
-      for (std::size_t j = 0; j < nc; ++j) crow[j] *= beta;
-    }
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float av = ap[p * kMR + r];
-      if (av == 0.0f) continue;
-      const float* __restrict__ brow = b + p * ldb;
-      for (std::size_t j = 0; j < nc; ++j) crow[j] += av * brow[j];
-    }
-  }
 }
 
 /// Register tile for gemm_nt: fresh dot accumulators over the whole k
@@ -379,7 +335,7 @@ void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
 // ---------------------------------------------------------------------------
 
 /// Shared driver for the two C-accumulating variants; PackA packs the
-/// (ic, pc, mc, kc) block of A into slivers + zero flags.
+/// (ic, pc, mc, kc) block of A into slivers.
 template <typename PackA>
 void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
                        std::span<const float> b, std::span<float> c,
@@ -387,8 +343,6 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
   const GemmTuning& tun = gemm_tuning();
   float* bp = t_scratch.b.ensure_floats(tun.kc * (tun.nc + kNR));
   float* ap = t_scratch.a.ensure_floats(tun.kc * (tun.mc + kMR));
-  t_scratch.a_zeros.resize(tun.mc / kMR + 1);
-  std::uint8_t* zeros = t_scratch.a_zeros.data();
   for (std::size_t jc = 0; jc < n; jc += tun.nc) {
     const std::size_t nc = std::min(tun.nc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += tun.kc) {
@@ -397,16 +351,11 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
       pack_b_slivers(b.data() + pc * n + jc, n, kc, nc, bp);
       for (std::size_t ic = 0; ic < m; ic += tun.mc) {
         const std::size_t mc = std::min(tun.mc, m - ic);
-        pack_a(ic, pc, mc, kc, ap, zeros);
+        pack_a(ic, pc, mc, kc, ap);
         for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
           const std::size_t mr = std::min(kMR, mc - i0);
           const float* asliver = ap + (i0 / kMR) * kc * kMR;
           float* crow = c.data() + (ic + i0) * n + jc;
-          if (zeros[i0 / kMR] != 0) {
-            rows_cacc_skip(mr, nc, kc, asliver, b.data() + pc * n + jc, n,
-                           crow, n, beta, first);
-            continue;
-          }
           for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
             const std::size_t nr = std::min(kNR, nc - j0);
             const float* bsliver = bp + (j0 / kNR) * kc * kNR;
@@ -494,23 +443,46 @@ void note_gemm(std::size_t m, std::size_t k, std::size_t n) {
   macs.add(static_cast<std::uint64_t>(m) * k * n);
 }
 
-/// Dispatch rule: a call takes the blocked kernel once its volume m*k*n
-/// reaches its family's threshold, below which packing costs more than
-/// blocking saves. Both sides are bitwise identical; the thresholds sit
-/// at the crossover measured at the shapes the presets run (README
-/// "Performance"; micro_substrate's BM_GemmMlp* pairs gate them):
-///  - nt: the reference is a scalar dot loop (a float reduction cannot
-///    vectorize without reassociating), so blocking pays early: the
-///    compact MLP's forward 16x64x32 runs ~5x faster blocked, while
-///    16x32x10 (one full and one 2-column edge tile) is a tie.
-///  - nn/tn: the references stream vectorized C rows and skip zero
-///    multipliers, so small calls fed post-ReLU gradients run faster on
-///    them: the compact MLP's layer-0 dW, tn 32x16x64 with ~50% zero A,
-///    takes ~2 us on the reference vs ~3.5 us blocked.
-/// The two families need separate thresholds because those two compact
-/// shapes have the same volume, 32768.
-constexpr std::size_t kNtBlockedMinVolume = 32 * 1024;
-constexpr std::size_t kCaccBlockedMinVolume = 64 * 1024;
+/// Counts the calls that take a blocked kernel, so tests and traces can
+/// see which side of the dispatch rule a shape falls on.
+void note_blocked() {
+  static const obs::Counter blocked = obs::counter("gemm.blocked_calls");
+  blocked.add(1);
+}
+
+/// Dispatch rule, measured on the compact MLPs' training shapes (CIFAR
+/// 64->32->10 and FEMNIST 64->48->62 at batch 16) and on model-zoo
+/// shapes; README "Performance" has the numbers. Both sides are bitwise
+/// identical, so the rule only picks the faster one:
+///  - Below kBlockedMinVolume MACs packing costs more than blocking saves.
+///  - nt at or above it takes the blocked kernel: its reference is a
+///    scalar dot loop (a float reduction cannot vectorize without
+///    reassociating), so the compact MLP's forward 16x64x32 runs ~5x
+///    faster blocked.
+///  - nn/tn at or above it take the blocked kernel only when A holds no
+///    exact zero. The references skip zero multipliers and stream
+///    vectorized C rows, while a blocked tile cannot skip without
+///    testing every multiplier per column strip. With dense A blocked ran
+///    1.2-2.7x faster; with 1-50% zeros in A (post-ReLU gradients hold
+///    ~50%) the reference won everywhere but tn 512x16x3136 at 1%, e.g.
+///    the FEMNIST layer-0 dW, tn 48x16x64 at ~50%, 2.6 us vs 7.7 us.
+/// The zero scan costs m*k compares against m*k*n multiply-adds.
+constexpr std::size_t kBlockedMinVolume = 32 * 1024;
+
+bool holds_zero(std::span<const float> a, std::size_t count) {
+  // An integer OR reduction vectorizes; a bool one does not (GCC 12 ran
+  // that scalar at ~1.3 us for 1k floats).
+  std::uint32_t zero = 0;
+  for (std::size_t i = 0; i < count; ++i) zero |= a[i] == 0.0f ? 1u : 0u;
+  return zero != 0;
+}
+
+bool cacc_takes_blocked(std::size_t m, std::size_t k, std::size_t n,
+                        std::span<const float> a) {
+  // k == 0 must still apply beta to C — the reference handles it.
+  return k != 0 && n >= 8 && m * k * n >= kBlockedMinVolume &&
+         !holds_zero(a, m * k);
+}
 
 }  // namespace
 
@@ -520,16 +492,16 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
   note_gemm(m, k, n);
-  // k == 0 must still apply beta to C — the reference handles it.
-  if (k == 0 || n < 8 || m * k * n < kCaccBlockedMinVolume) {
+  if (!cacc_takes_blocked(m, k, n, a)) {
     gemm_nn_ref(m, k, n, a, b, c, beta);
     return;
   }
+  note_blocked();
   gemm_cacc_blocked(
       m, k, n, b, c, beta,
       [&a, k](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
-              float* dst, std::uint8_t* zeros) {
-        pack_a_rows(a.data(), k, ic, pc, mc, kc, dst, zeros);
+              float* dst) {
+        pack_a_rows(a.data(), k, ic, pc, mc, kc, dst);
       });
 }
 
@@ -539,10 +511,11 @@ void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
   note_gemm(m, k, n);
-  if (k == 0 || n < 4 || k > 65536 || m * k * n < kNtBlockedMinVolume) {
+  if (k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume) {
     gemm_nt_ref(m, k, n, a, b, c, beta);
     return;
   }
+  note_blocked();
   gemm_nt_blocked(m, k, n, a, b, c, beta);
 }
 
@@ -552,15 +525,16 @@ void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
              std::span<float> c, float beta) {
   assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
   note_gemm(m, k, n);
-  if (k == 0 || n < 8 || m * k * n < kCaccBlockedMinVolume) {
+  if (!cacc_takes_blocked(m, k, n, a)) {
     gemm_tn_ref(m, k, n, a, b, c, beta);
     return;
   }
+  note_blocked();
   gemm_cacc_blocked(
       m, k, n, b, c, beta,
       [&a, m](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
-              float* dst, std::uint8_t* zeros) {
-        pack_a_cols(a.data(), m, ic, pc, mc, kc, dst, zeros);
+              float* dst) {
+        pack_a_cols(a.data(), m, ic, pc, mc, kc, dst);
       });
 }
 

@@ -13,7 +13,9 @@
 //     before the first k-block touches an element; k-blocks then visit p
 //     in ascending order, carrying the element through registers within a
 //     block and through C memory across blocks). The seed's
-//     skip-zero-multiplier branch is preserved per (element-of-A, p).
+//     skip-zero-multiplier branch is preserved by dispatch: an A holding
+//     any exact zero runs the reference loop, so the blocked kernels
+//     only see multipliers the skip would not have skipped.
 //   * gemm_nt keeps one register accumulator per output element across
 //     the whole k extent (fresh dot, p ascending) and only then combines
 //     with beta — the same op sequence as the reference inner loop.

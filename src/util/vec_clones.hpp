@@ -16,12 +16,16 @@
 //
 // The macro expands to nothing where IFUNC dispatch is unavailable or
 // unwanted: non-x86-64 or non-ELF targets, Clang (different clone
-// semantics), and AddressSanitizer builds, which therefore exercise only
-// the default clone.
+// semantics), and sanitizer builds, which therefore exercise only the
+// default clone. Under ThreadSanitizer the IFUNC resolvers would run
+// during relocation, before the TSan runtime initialises, and an
+// instrumented resolver segfaults there; dropping the clones keeps the
+// kernels instrumented, so TSan sees every write they make.
 #pragma once
 
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__clang__) && !defined(__SANITIZE_ADDRESS__)
+    !defined(__clang__) && !defined(__SANITIZE_ADDRESS__) &&        \
+    !defined(__SANITIZE_THREAD__)
 #define SKIPTRAIN_VEC_CLONES(...) \
   __attribute__((target_clones(__VA_ARGS__)))
 #else

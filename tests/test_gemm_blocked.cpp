@@ -5,13 +5,16 @@
 // kernels must produce bitwise identical C.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -100,6 +103,8 @@ TEST(GemmBlocked, NonSquarePanelsCrossBlockBoundaries) {
 }
 
 TEST(GemmBlocked, ZeroHeavyAPreservesSkipBranch) {
+  // nn/tn route a zero-holding A to the reference (GemmDispatch below);
+  // nt has no skip branch and runs blocked here.
   check_shape(48, 96, 40, 11, true);
   check_shape(33, tensor::gemm_tuning().kc + 5, 37, 12, true);
 }
@@ -160,7 +165,8 @@ TEST(GemmBlocked, DispatchCrossoverFuzz) {
   // Which ISA clone runs depends on the build: in Release builds on an
   // AVX2 host both the dispatched kernels and the oracles run their AVX2
   // clone; SKIPTRAIN_VEC_CLONES expands to nothing under
-  // __SANITIZE_ADDRESS__, so the ASan leg checks the default (SSE2) code.
+  // __SANITIZE_ADDRESS__ and __SANITIZE_THREAD__, so the ASan and TSan
+  // legs check the default (SSE2) code.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::vector<float> a, b, c, ref;
   for (std::size_t m = 1; m <= 33; ++m) {
@@ -206,6 +212,69 @@ TEST(GemmBlocked, DispatchCrossoverFuzz) {
       }
     }
   }
+}
+
+/// Which kernel the dispatch rule picks, read from the
+/// gemm.blocked_calls counter around one call.
+bool takes_blocked(void (*gemm)(std::size_t, std::size_t, std::size_t,
+                                std::span<const float>,
+                                std::span<const float>, std::span<float>,
+                                float),
+                   std::size_t m, std::size_t k, std::size_t n,
+                   bool post_relu) {
+  util::Rng rng(m * 131 + k * 17 + n);
+  std::vector<float> a(m * k), b(k * n), c(m * n);
+  rng.fill_normal(a, 0.0f, 1.0f);
+  rng.fill_normal(b, 0.0f, 1.0f);
+  if (post_relu) {
+    for (float& v : a) v = std::max(v, 0.0f);
+  }
+  const std::uint64_t before =
+      obs::snapshot().counter_value("gemm.blocked_calls");
+  gemm(m, k, n, a, b, c, 0.0f);
+  return obs::snapshot().counter_value("gemm.blocked_calls") != before;
+}
+
+TEST(GemmDispatch, PicksMeasuredKernelAtCompactMlpShapes) {
+  // The compact MLPs' training GEMMs at batch 16 (README "Performance"
+  // has the timings behind each pick). A deterministic check where a
+  // timing pair of identical code could only measure host noise.
+  obs::set_enabled(true);
+  // CIFAR 64->32->10.
+  EXPECT_TRUE(takes_blocked(gemm_nt, 16, 64, 32, false));   // L0 forward
+  EXPECT_FALSE(takes_blocked(gemm_nt, 16, 32, 10, false));  // L1 forward
+  EXPECT_FALSE(takes_blocked(gemm_tn, 32, 16, 64, true));   // L0 dW
+  EXPECT_FALSE(takes_blocked(gemm_tn, 10, 16, 32, false));  // L1 dW
+  EXPECT_FALSE(takes_blocked(gemm_nn, 16, 10, 32, false));  // L1 dX
+  // FEMNIST 64->48->62.
+  EXPECT_TRUE(takes_blocked(gemm_nt, 16, 64, 48, false));   // L0 forward
+  EXPECT_TRUE(takes_blocked(gemm_nt, 16, 48, 62, false));   // L1 forward
+  EXPECT_FALSE(takes_blocked(gemm_tn, 48, 16, 64, true));   // L0 dW
+  EXPECT_TRUE(takes_blocked(gemm_tn, 62, 16, 48, false));   // L1 dW
+  EXPECT_TRUE(takes_blocked(gemm_nn, 16, 62, 48, false));   // L1 dX
+}
+
+TEST(GemmDispatch, SingleZeroInASendsNnTnToReference) {
+  obs::set_enabled(true);
+  const std::size_t m = 64, k = 100, n = 48;
+  util::Rng rng(77);
+  std::vector<float> a(m * k), b(k * n), c(m * n), ref(m * n);
+  rng.fill_normal(a, 0.0f, 1.0f);
+  rng.fill_normal(b, 0.0f, 1.0f);
+  const auto blocked_delta = [&](auto gemm, auto oracle) {
+    const std::uint64_t before =
+        obs::snapshot().counter_value("gemm.blocked_calls");
+    gemm(m, k, n, a, b, c, 0.0f);
+    oracle(m, k, n, a, b, ref, 0.0f);
+    expect_bitwise_equal(c, ref, "dispatched", m, k, n, 0.0f);
+    return obs::snapshot().counter_value("gemm.blocked_calls") - before;
+  };
+  EXPECT_EQ(blocked_delta(gemm_nn, gemm_nn_ref), 1u);
+  EXPECT_EQ(blocked_delta(gemm_tn, gemm_tn_ref), 1u);
+  a[m * k - 1] = -0.0f;  // the references skip negative zeros too
+  EXPECT_EQ(blocked_delta(gemm_nn, gemm_nn_ref), 0u);
+  EXPECT_EQ(blocked_delta(gemm_tn, gemm_tn_ref), 0u);
+  EXPECT_EQ(blocked_delta(gemm_nt, gemm_nt_ref), 1u);  // nt has no skip
 }
 
 TEST(GemmTuning, DerivedBlocksAreSane) {

@@ -4,6 +4,7 @@
 // steady-state local SGD step (this TU owns the counting operator new).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -63,10 +64,6 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace skiptrain::obs {
 namespace {
@@ -377,7 +374,7 @@ TEST(SteadyStateStep, CnnStepAllocatesNothingAfterWarmUp) {
   nn::SgdOptimizer optimizer({0.05f, 0.9f, 1e-4f});
   tensor::Tensor input({2, 3, 32, 32});
   rng.fill_normal(input.data(), 0.0f, 1.0f);
-  const std::vector<std::int32_t> labels = {3, 7};
+  const std::array<std::int32_t, 2> labels = {3, 7};
   tensor::Tensor grad_logits({2, 10});
   const auto step = [&] {
     model.zero_grad();
