@@ -607,8 +607,7 @@ BENCHMARK(BM_ScenarioTraceStep)->Arg(64)->Arg(256);
 // ---------------------------------------------------------------------------
 // Fault-layer kernels (fault/frame.hpp, fault/fault.hpp): what the wire
 // framing and a fully faulted gossip round cost. BM_CrcFrame measures
-// encode_frame + verify_frame (the CRC32C slicing-by-4 path dominates at
-// large dims); BM_FaultedGossipRound runs whole engine rounds under an
+// encode_frame + verify_frame (the CRC32C pass dominates at large dims); BM_FaultedGossipRound runs whole engine rounds under an
 // active drop/corrupt/dup plan, so the framing, per-link stateless draws,
 // and masked difference-form aggregation are all on the clock. Both run
 // under --quick; the CI gate requires the rows so a fault-path regression

@@ -2,9 +2,10 @@
 // check behind the fault layer's wire frames and the per-section
 // checksums on fleet images.
 //
-// Portable table-driven implementation (slicing-by-4): no SSE4.2
-// dependency, byte-order independent output, bit-identical on every
-// platform the simulator builds on. The incremental form (`update`)
+// Two implementations compute the same values: the SSE4.2 `crc32`
+// instruction, chosen at run time on x86-64 hosts that have it, and a
+// portable table-driven fallback (slicing-by-4) with byte-order
+// independent output. The incremental form (`update`)
 // lets ckpt::ImageWriter/ImageReader accumulate a running CRC across
 // many small writes without buffering a section.
 #pragma once
@@ -24,6 +25,20 @@ inline constexpr std::uint32_t kCrc32cInit = 0xffffffffU;
 [[nodiscard]] inline constexpr std::uint32_t crc32c_finish(std::uint32_t crc) {
   return crc ^ 0xffffffffU;
 }
+
+namespace detail {
+/// The two implementations behind crc32c_update, exposed so tests can
+/// check they agree. crc32c_update_sse42 may only be called when
+/// crc32c_hw_available() is true (off x86-64 it forwards to the portable
+/// path).
+[[nodiscard]] std::uint32_t crc32c_update_portable(std::uint32_t crc,
+                                                   const void* data,
+                                                   std::size_t bytes);
+[[nodiscard]] std::uint32_t crc32c_update_sse42(std::uint32_t crc,
+                                                const void* data,
+                                                std::size_t bytes);
+[[nodiscard]] bool crc32c_hw_available();
+}  // namespace detail
 
 /// One-shot CRC32C of a buffer.
 [[nodiscard]] inline std::uint32_t crc32c(const void* data,

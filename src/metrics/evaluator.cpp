@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "nn/executor.hpp"
 #include "nn/loss.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,26 +19,62 @@ Evaluator::Evaluator(const data::Dataset* dataset, std::size_t max_samples,
                                 : std::min(max_samples, dataset_->size());
 }
 
-EvalResult Evaluator::evaluate(nn::Sequential& model) const {
-  const data::DatasetView view = data::DatasetView::whole(dataset_);
+namespace {
+
+/// One worker thread's evaluation workspace: the executors plus the batch
+/// and label buffers. Kept apart from the training workspace so the two
+/// batch shapes never resize each other's activations.
+struct EvalWorkspace {
+  nn::ExecutorCache executors;
   tensor::Tensor batch;
   std::vector<std::int32_t> labels;
+};
 
-  double weighted_loss = 0.0;
-  double weighted_acc = 0.0;
+thread_local EvalWorkspace t_workspace;
+
+}  // namespace
+
+template <typename OnBatch>
+void Evaluator::sweep(nn::Sequential& model, OnBatch&& on_batch) const {
+  EvalWorkspace& ws = t_workspace;
+  nn::Sequential& executor = ws.executors.attach(model);
+  const data::DatasetView view = data::DatasetView::whole(dataset_);
   std::size_t done = 0;
   while (done < samples_) {
     const std::size_t count = std::min(batch_size_, samples_ - done);
-    view.fill_range(done, count, batch, labels);
-    const tensor::Tensor& logits = model.forward(batch);
-    const nn::LossResult result =
-        nn::softmax_cross_entropy_eval(logits, labels);
-    weighted_loss += result.loss * static_cast<double>(count);
-    weighted_acc += result.accuracy * static_cast<double>(count);
+    view.fill_range(done, count, ws.batch, ws.labels);
+    on_batch(executor.forward(ws.batch), ws.labels);
     done += count;
   }
+}
+
+EvalResult Evaluator::evaluate(nn::Sequential& model) const {
+  double weighted_loss = 0.0;
+  double weighted_acc = 0.0;
+  sweep(model, [&](const tensor::Tensor& logits,
+                   std::span<const std::int32_t> labels) {
+    const nn::LossResult result =
+        nn::softmax_cross_entropy_eval(logits, labels);
+    const auto count = static_cast<double>(labels.size());
+    weighted_loss += result.loss * count;
+    weighted_acc += result.accuracy * count;
+  });
   return EvalResult{weighted_acc / static_cast<double>(samples_),
                     weighted_loss / static_cast<double>(samples_)};
+}
+
+double Evaluator::accuracy(nn::Sequential& model) const {
+  // The same per-batch arithmetic as evaluate() — batch accuracy, then
+  // weighted by the batch size — so the result is bit-identical.
+  double weighted_acc = 0.0;
+  sweep(model, [&](const tensor::Tensor& logits,
+                   std::span<const std::int32_t> labels) {
+    const auto count = static_cast<double>(labels.size());
+    const double batch_accuracy =
+        static_cast<double>(nn::count_top1_correct(logits, labels)) / count;
+    weighted_acc += batch_accuracy * count;
+  });
+  return weighted_acc / static_cast<double>(samples_);
 }
 
 namespace {
@@ -98,7 +135,7 @@ Evaluator::FleetResult Evaluator::evaluate_fleet(
   FleetResult result;
   result.per_node.assign(models.size(), 0.0);
   util::parallel_for(0, models.size(), [&](std::size_t i) {
-    result.per_node[i] = evaluate(*models[i]).accuracy;
+    result.per_node[i] = accuracy(*models[i]);
   });
   util::RunningStat stat;
   for (const double acc : result.per_node) stat.add(acc);

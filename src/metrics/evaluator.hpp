@@ -25,8 +25,10 @@ class Evaluator {
   explicit Evaluator(const data::Dataset* dataset, std::size_t max_samples = 0,
                      std::size_t batch_size = 256);
 
-  /// Accuracy/loss of one model. Thread-safe wrt the dataset; the model is
-  /// used mutably (forward activations) and must not be shared.
+  /// Accuracy/loss of one model. Runs on the calling thread's evaluation
+  /// executor (nn/executor.hpp) attached to `model`'s parameters, so the
+  /// model's own buffers are left as they were; `model` must not be
+  /// trained or evaluated concurrently on another thread.
   EvalResult evaluate(nn::Sequential& model) const;
 
   /// Accuracy/loss of the model whose parameters are the arithmetic mean
@@ -41,7 +43,8 @@ class Evaluator {
       std::span<const std::vector<float>> node_params) const;
 
   /// Per-node accuracies for a set of models, evaluated in parallel on the
-  /// global thread pool. Returns mean/std summary plus raw accuracies.
+  /// global thread pool. Returns mean/std summary plus raw accuracies,
+  /// bit-identical to evaluate(model).accuracy; the loss is not computed.
   struct FleetResult {
     util::Summary accuracy;
     std::vector<double> per_node;
@@ -51,6 +54,12 @@ class Evaluator {
   std::size_t samples_used() const { return samples_; }
 
  private:
+  /// Runs `model` over the evaluation samples batch by batch and calls
+  /// `on_batch(logits, labels)` for each.
+  template <typename OnBatch>
+  void sweep(nn::Sequential& model, OnBatch&& on_batch) const;
+  double accuracy(nn::Sequential& model) const;
+
   const data::Dataset* dataset_;
   std::size_t samples_;
   std::size_t batch_size_;

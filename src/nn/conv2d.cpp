@@ -28,6 +28,16 @@ std::string Conv2d::name() const {
          ", p=" + std::to_string(pad_) + ")";
 }
 
+std::string Conv2d::signature() const {
+  return name() + "[algo=" + std::to_string(static_cast<int>(algo_)) + "]";
+}
+
+std::size_t Conv2d::workspace_bytes() const {
+  return ParamLayer::workspace_bytes() +
+         (col_.capacity() + colr_.capacity() + gout_t_.capacity()) *
+             sizeof(float);
+}
+
 std::size_t Conv2d::spatial_out(std::size_t in) const {
   const std::size_t padded = in + 2 * pad_;
   if (padded < k_) {
@@ -182,8 +192,8 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   const std::size_t out_sz = out_c_ * ohw;
 
   const std::span<const float> weights{params_.data(), out_c_ * patch};
-  std::span<float> grad_w{grads_.data(), out_c_ * patch};
-  float* grad_b = grads_.data() + out_c_ * patch;
+  std::span<float> grad_w = grads().first(out_c_ * patch);
+  float* grad_b = grad_w.data() + out_c_ * patch;
 
   if (grad_input != nullptr) grad_input->zero();
   colr_.resize(ohw * patch);
@@ -284,8 +294,8 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
   const std::size_t oh = spatial_out(h);
   const std::size_t ow = spatial_out(w);
   const float* weights = params_.data();
-  float* grad_w = grads_.data();
-  float* grad_b = grads_.data() + out_c_ * in_c_ * k_ * k_;
+  float* grad_w = grads().data();
+  float* grad_b = grad_w + out_c_ * in_c_ * k_ * k_;
 
   if (grad_input != nullptr) grad_input->zero();
   float* gin = grad_input != nullptr ? grad_input->raw() : nullptr;

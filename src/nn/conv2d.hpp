@@ -42,6 +42,8 @@ class Conv2d final : public ParamLayer {
          std::size_t padding = 0);
 
   std::string name() const override;
+  std::string signature() const override;
+  std::size_t workspace_bytes() const override;
   Shape output_shape(const Shape& input_shape) const override;
   void forward(const Tensor& input, Tensor& output) override;
   void backward(const Tensor& input, const Tensor& grad_output,
@@ -76,8 +78,8 @@ class Conv2d final : public ParamLayer {
   std::size_t pad_;
   Conv2dAlgo algo_ = Conv2dAlgo::kAuto;
 
-  // Per-layer scratch (each simulated node owns its model clone, so no
-  // cross-thread sharing): patch matrices and the transposed gradient
+  // Per-layer scratch (an executor serves one thread, so no cross-thread
+  // sharing): patch matrices and the transposed gradient
   // plane, grown once and reused across batch images and rounds.
   std::vector<float> col_;     // [patch x out_hw]   (forward)
   std::vector<float> colr_;    // [out_hw x patch]   (backward dW)

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace skiptrain::nn {
@@ -22,6 +24,17 @@ GroupNorm::GroupNorm(std::size_t num_groups, std::size_t channels, float eps)
 std::string GroupNorm::name() const {
   return "GroupNorm(groups=" + std::to_string(groups_) +
          ", channels=" + std::to_string(channels_) + ")";
+}
+
+std::string GroupNorm::signature() const {
+  std::uint32_t eps_bits = 0;
+  std::memcpy(&eps_bits, &eps_, sizeof(eps_bits));
+  return name() + "[eps=" + std::to_string(eps_bits) + "]";
+}
+
+std::size_t GroupNorm::workspace_bytes() const {
+  return ParamLayer::workspace_bytes() +
+         (mean_.capacity() + inv_std_.capacity()) * sizeof(float);
 }
 
 Shape GroupNorm::output_shape(const Shape& input_shape) const {
@@ -91,8 +104,8 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
   assert(mean_.size() == batch * groups_);
 
   const float* gamma = params_.data();
-  float* grad_gamma = grads_.data();
-  float* grad_beta = grads_.data() + channels_;
+  float* grad_gamma = grads().data();
+  float* grad_beta = grad_gamma + channels_;
   const auto in = input.data();
   const auto gout = grad_output.data();
   float* gin = grad_input != nullptr ? grad_input->raw() : nullptr;

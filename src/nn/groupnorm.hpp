@@ -19,6 +19,8 @@ class GroupNorm final : public ParamLayer {
   GroupNorm(std::size_t num_groups, std::size_t channels, float eps = 1e-5f);
 
   std::string name() const override;
+  std::string signature() const override;
+  std::size_t workspace_bytes() const override;
   Shape output_shape(const Shape& input_shape) const override;
   void forward(const Tensor& input, Tensor& output) override;
   void backward(const Tensor& input, const Tensor& grad_output,

@@ -10,11 +10,16 @@
 //   engine hosts thousands of model replicas. This makes whole-model
 //   aggregation a zero-copy operation on contiguous memory, exactly the
 //   view D-PSGD/SkipTrain need.
-// * Gradients stay layer-owned: they are private scratch of the backward
-//   pass and never travel between nodes.
+// * Gradients are layer-owned scratch of the backward pass and never
+//   travel between nodes. A ParamLayer allocates them on first use
+//   (zero_grad, backward or gradients()), so a model that only views
+//   parameters — a simulated node's plane row — holds none. Training and
+//   evaluation run on per-worker executors (nn/executor.hpp): clones that
+//   own the gradients, activations and layer scratch and are attached
+//   zero-copy to the parameters of the model they run for.
 // * Layers are stateless across samples except for cached forward artifacts
-//   needed by backward (e.g. max-pool argmax masks). Each simulated node
-//   owns its private model clone, so no cross-thread sharing occurs.
+//   needed by backward (e.g. max-pool argmax masks). An executor serves one
+//   thread, so no cross-thread sharing occurs.
 // * Batch dimension is always tensor dim 0.
 #pragma once
 
@@ -106,6 +111,15 @@ class Layer {
   /// Human-readable layer name ("Linear(64->10)").
   virtual std::string name() const = 0;
 
+  /// Exact configuration key: two layers with equal signatures compute
+  /// the same function of the same parameters. Defaults to name(); layers
+  /// with configuration their name omits extend it.
+  virtual std::string signature() const { return name(); }
+
+  /// Bytes of gradient and forward/backward scratch storage the layer
+  /// holds (parameters excluded).
+  virtual std::size_t workspace_bytes() const { return 0; }
+
   /// Given the per-batch input shape (including batch dim 0), returns the
   /// output shape. Throws std::invalid_argument on incompatible shapes.
   virtual Shape output_shape(const Shape& input_shape) const = 0;
@@ -163,12 +177,13 @@ class Layer {
 
 /// Base for layers whose parameters live in one flat ParamStorage block
 /// with same-sized layer-owned gradients; implements the storage plumbing
-/// (views, counts, bind/attach, zero_grad) once.
+/// (views, counts, bind/attach, zero_grad) once. The gradient block is
+/// allocated, zeroed, on first use.
 class ParamLayer : public Layer {
  public:
   std::span<float> parameters() override { return params_.view(); }
   std::span<const float> parameters() const override { return params_.view(); }
-  std::span<float> gradients() override { return grads_; }
+  std::span<float> gradients() override { return grads(); }
   std::size_t parameter_count() const override { return params_.size(); }
   void bind_parameters(std::span<float> storage) override {
     params_.bind(storage);
@@ -177,14 +192,25 @@ class ParamLayer : public Layer {
     params_.attach(storage);
   }
   void zero_grad() override {
-    std::fill(grads_.begin(), grads_.end(), 0.0f);
+    std::span<float> g = grads();
+    std::fill(g.begin(), g.end(), 0.0f);
+  }
+  std::size_t workspace_bytes() const override {
+    return grads_.capacity() * sizeof(float);
   }
 
  protected:
-  explicit ParamLayer(std::size_t count)
-      : params_(count), grads_(count, 0.0f) {}
+  explicit ParamLayer(std::size_t count) : params_(count) {}
+
+  /// The gradient block, allocated (zeroed) on first use.
+  std::span<float> grads() {
+    if (grads_.size() != params_.size()) grads_.assign(params_.size(), 0.0f);
+    return grads_;
+  }
 
   ParamStorage params_;
+
+ private:
   std::vector<float> grads_;
 };
 

@@ -40,8 +40,9 @@ void Linear::backward(const Tensor& input, const Tensor& grad_output,
                       Tensor* grad_input) {
   const std::size_t batch = input.dim(0);
   const std::span<const float> w{params_.data(), in_ * out_};
-  std::span<float> grad_w{grads_.data(), in_ * out_};
-  std::span<float> grad_b{grads_.data() + in_ * out_, out_};
+  const std::span<float> grad = grads();
+  std::span<float> grad_w = grad.first(in_ * out_);
+  std::span<float> grad_b = grad.subspan(in_ * out_, out_);
 
   // dW[out, in] += dY[B, out]^T * X[B, in]
   tensor::gemm_tn(out_, batch, in_, grad_output.data(), input.data(), grad_w,

@@ -19,6 +19,16 @@ double log_sum_exp(const float* row, std::size_t n) {
   return static_cast<double>(max_val) + std::log(sum);
 }
 
+/// Index of the first maximum of a row (strict `>`: ties keep the lowest
+/// index).
+std::size_t argmax(const float* row, std::size_t n) {
+  std::size_t pred = 0;
+  for (std::size_t c = 1; c < n; ++c) {
+    if (row[c] > row[pred]) pred = c;
+  }
+  return pred;
+}
+
 }  // namespace
 
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
@@ -70,14 +80,23 @@ LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
     const auto label = static_cast<std::size_t>(labels[b]);
     const double lse = log_sum_exp(row, classes);
     total_loss += lse - static_cast<double>(row[label]);
-    std::size_t pred = 0;
-    for (std::size_t c = 1; c < classes; ++c) {
-      if (row[c] > row[pred]) pred = c;
-    }
-    if (pred == label) ++correct;
+    if (argmax(row, classes) == label) ++correct;
   }
   return LossResult{total_loss / static_cast<double>(batch),
                     static_cast<double>(correct) / static_cast<double>(batch)};
+}
+
+std::size_t count_top1_correct(const tensor::Tensor& logits,
+                               std::span<const std::int32_t> labels) {
+  const std::size_t batch = logits.dim(0);
+  const std::size_t classes = logits.numel() / batch;
+  assert(labels.size() == batch);
+  std::size_t correct = 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const auto label = static_cast<std::size_t>(labels[b]);
+    if (argmax(logits.raw() + b * classes, classes) == label) ++correct;
+  }
+  return correct;
 }
 
 }  // namespace skiptrain::nn

@@ -24,4 +24,11 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
 LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
                                       std::span<const std::int32_t> labels);
 
+/// Number of rows of `logits` [B, C] whose top-1 class is the label: the
+/// accuracy softmax_cross_entropy_eval reports, times B, without the
+/// log-sum-exp. Ties go to the lowest class index, as in both functions
+/// above.
+std::size_t count_top1_correct(const tensor::Tensor& logits,
+                               std::span<const std::int32_t> labels);
+
 }  // namespace skiptrain::nn

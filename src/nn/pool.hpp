@@ -19,6 +19,9 @@ class MaxPool2d final : public Layer {
   void backward(const Tensor& input, const Tensor& grad_output,
                 Tensor* grad_input) override;
   std::unique_ptr<Layer> clone() const override;
+  std::size_t workspace_bytes() const override {
+    return argmax_.capacity() * sizeof(std::size_t);
+  }
 
  private:
   std::size_t window_;

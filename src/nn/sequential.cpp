@@ -13,7 +13,8 @@ Sequential::Sequential(Sequential&& other) noexcept
       shaped_for_(std::move(other.shaped_for_)),
       owned_arena_(std::move(other.owned_arena_)),
       arena_(other.arena_),
-      external_arena_(other.external_arena_) {
+      external_arena_(other.external_arena_),
+      signature_(std::move(other.signature_)) {
   other.arena_ = {};
   other.external_arena_ = false;
 }
@@ -27,6 +28,7 @@ Sequential& Sequential::operator=(Sequential&& other) noexcept {
     owned_arena_ = std::move(other.owned_arena_);
     arena_ = other.arena_;
     external_arena_ = other.external_arena_;
+    signature_ = std::move(other.signature_);
     other.arena_ = {};
     other.external_arena_ = false;
   }
@@ -39,8 +41,29 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
         "Sequential::add: model is bound to an external arena");
   }
   layers_.push_back(std::move(layer));
+  signature_.clear();
   relayout_owned_arena();
   return *this;
+}
+
+const std::string& Sequential::signature() {
+  if (signature_.empty()) {
+    for (const auto& layer : layers_) {
+      signature_ += layer->signature();
+      signature_ += ';';
+    }
+  }
+  return signature_;
+}
+
+std::size_t Sequential::workspace_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& layer : layers_) bytes += layer->workspace_bytes();
+  for (const Tensor& t : activations_) bytes += t.numel() * sizeof(float);
+  for (const Tensor& t : grad_activations_) {
+    bytes += t.numel() * sizeof(float);
+  }
+  return bytes;
 }
 
 void Sequential::relayout_owned_arena() {

@@ -1,10 +1,12 @@
 // Sequential container = the "model" type of this library. Owns layers and
-// the activation buffers needed for backprop, and keeps ALL parameters in
-// one contiguous flat arena (layer order, weights-then-bias within a
-// layer). The arena is self-owned by default, so standalone models behave
-// exactly like value types; a simulation engine can rebind the model into
-// an externally owned arena (a plane::ParameterPlane row) to make
-// whole-fleet aggregation a zero-copy contiguous operation.
+// the activation buffers needed for backprop (allocated by the first
+// forward, so a model that is only a parameter view holds none), and keeps
+// ALL parameters in one contiguous flat arena (layer order,
+// weights-then-bias within a layer). The arena is self-owned by default,
+// so standalone models behave exactly like value types; a simulation
+// engine can rebind the model into an externally owned arena (a
+// plane::ParameterPlane row) to make whole-fleet aggregation a zero-copy
+// contiguous operation.
 //
 // Layer-view contract: layers VIEW spans of the arena instead of owning
 // storage. add(), clone() into a new object, bind_parameter_arena() and
@@ -17,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -45,8 +48,24 @@ class Sequential {
   }
 
   std::size_t num_layers() const { return layers_.size(); }
-  Layer& layer(std::size_t i) { return *layers_[i]; }
+  /// Mutable access may change a layer's configuration, so it drops the
+  /// cached signature().
+  Layer& layer(std::size_t i) {
+    signature_.clear();
+    return *layers_[i];
+  }
   const Layer& layer(std::size_t i) const { return *layers_[i]; }
+
+  /// Exact architecture key: the layer signatures (types, shapes and
+  /// per-layer configuration such as Conv2d's algorithm) in order. Two
+  /// models with equal signatures run the same computation on a
+  /// parameter arena of the same layout. Cached until add() or a mutable
+  /// layer() access.
+  const std::string& signature();
+
+  /// Bytes held outside the parameter arena: layer gradients and scratch
+  /// plus the forward/backward activation buffers.
+  [[nodiscard]] std::size_t workspace_bytes() const;
 
   /// Runs the forward pass and returns the final activation (logits).
   /// Buffers are retained across calls and resized when the input shape
@@ -115,6 +134,7 @@ class Sequential {
   std::vector<float> owned_arena_;   // empty when bound externally
   std::span<float> arena_;           // where the parameters actually live
   bool external_arena_ = false;
+  std::string signature_;            // empty until signature() computes it
 };
 
 }  // namespace skiptrain::nn

@@ -1,9 +1,11 @@
-// Per-node simulation state: the private model replica, optimizer, local
-// data shard and RNG stream. One instance per simulated device.
+// Per-node simulation state: the model (a parameter view of the node's
+// plane row), optimizer state, local data shard and RNG stream. One
+// instance per simulated device. Gradients, activations and batch buffers
+// are not per-node state: training runs on a per-worker executor
+// (nn/executor.hpp).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "data/dataset.hpp"
 #include "nn/optimizer.hpp"
@@ -34,7 +36,9 @@ class Node {
   const nn::SgdOptimizer& optimizer() const { return optimizer_; }
 
   /// Executes E steps of mini-batch SGD on the local shard (Algorithm 2,
-  /// lines 8-10). Returns the mean training loss across the steps.
+  /// lines 8-10), in place on model()'s parameters, through the calling
+  /// thread's executor for this architecture. Returns the mean training
+  /// loss across the steps.
   double train_local(std::size_t local_steps, std::size_t batch_size);
 
  private:
@@ -43,10 +47,6 @@ class Node {
   nn::SgdOptimizer optimizer_;
   data::DatasetView data_;
   util::Rng rng_;
-  // Scratch buffers reused across rounds to avoid per-step allocation.
-  tensor::Tensor batch_features_;
-  std::vector<std::int32_t> batch_labels_;
-  tensor::Tensor grad_logits_;
 };
 
 }  // namespace skiptrain::sim

@@ -62,6 +62,47 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Crc32c, HardwareAndPortablePathsAgree) {
+  if (!fault::detail::crc32c_hw_available()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  std::vector<std::uint8_t> buffer(1024 + 8);
+  std::uint32_t state = 0x9e3779b9u;
+  for (auto& byte : buffer) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<std::uint8_t>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* data = buffer.data() + offset;
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      const std::uint32_t portable = fault::detail::crc32c_update_portable(
+          fault::kCrc32cInit, data, length);
+      ASSERT_EQ(fault::detail::crc32c_update_sse42(fault::kCrc32cInit, data,
+                                                   length),
+                portable)
+          << "offset " << offset << " length " << length;
+      // Chaining: a split anywhere, with the halves fed through
+      // different paths, lands on the same running value.
+      const std::size_t split = (length * 5 + offset) % (length + 1);
+      const std::uint32_t head = fault::detail::crc32c_update_sse42(
+          fault::kCrc32cInit, data, split);
+      ASSERT_EQ(fault::detail::crc32c_update_portable(head, data + split,
+                                                      length - split),
+                portable)
+          << "offset " << offset << " length " << length << " split "
+          << split;
+      const std::uint32_t head_portable =
+          fault::detail::crc32c_update_portable(fault::kCrc32cInit, data,
+                                                split);
+      ASSERT_EQ(fault::detail::crc32c_update_sse42(head_portable, data + split,
+                                                   length - split),
+                portable);
+      ASSERT_EQ(fault::crc32c_update(fault::kCrc32cInit, data, length),
+                portable);
+    }
+  }
+}
+
 TEST(Crc32c, DetectsEverySingleBitFlipInASmallBuffer) {
   std::vector<std::uint8_t> buffer(48);
   for (std::size_t i = 0; i < buffer.size(); ++i) {
@@ -192,7 +233,9 @@ TEST(FaultDraws, CrashOutagesLastCrashRounds) {
       ++run_length;
       any_outage = true;
     } else {
-      if (run_length != 0) EXPECT_GE(run_length, 4u);
+      if (run_length != 0) {
+        EXPECT_GE(run_length, 4u);
+      }
       run_length = 0;
     }
   }
